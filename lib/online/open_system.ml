@@ -65,6 +65,10 @@ type obj = {
   mutable dirty : bool; (* queued for grant consideration this step *)
 }
 
+let latency_percentiles w =
+  if Dtm_util.Stats.Window.length w = 0 then [| -1; -1; -1 |]
+  else Dtm_util.Stats.Window.percentiles w [| 50.0; 99.0; 99.9 |]
+
 let older a b =
   match compare a.arrival b.arrival with 0 -> compare a.id b.id | c -> c
 
@@ -322,7 +326,7 @@ let run ?(policy = Policy.Timestamp { preemption = false }) ?(patience = 50)
     let d = Dtm_graph.Metric.dist metric o.pos to_.node in
     o.holder <- to_;
     o.dest <- to_.node;
-    let t = now + max 1 d in
+    let t = now + Int.max 1 d in
     o.transit_until <- t;
     travel := !travel + d;
     schedule_delivery ~now t oid
@@ -449,8 +453,11 @@ let run ?(policy = Policy.Timestamp { preemption = false }) ?(patience = 50)
   while (not !finished) && !step < horizon do
     incr step;
     let now = !step in
-    (* 1. Inject every transaction whose arrival step has come. *)
-    let rec inject () =
+    (* 1. Inject every transaction whose arrival step has come.  A loop,
+       not a local recursive function: a closure over this step's state
+       would be allocated on every step. *)
+    let injecting = ref true in
+    while !injecting do
       match !pending with
       | Some st when st.Stream.arrival <= now ->
         if st.Stream.arrival < !last_arrival then monotone := false
@@ -481,11 +488,9 @@ let run ?(policy = Policy.Timestamp { preemption = false }) ?(patience = 50)
         (* Injection is NOT progress: under continual arrivals it would
            reset the watchdog forever and a wedged grant state would
            never recover.  Only deliveries and commits count. *)
-        pending := Stream.pull src;
-        inject ()
-      | _ -> ()
-    in
-    inject ();
+        pending := Stream.pull src
+      | _ -> injecting := false
+    done;
     (* 2. Deliver this step's bucket. *)
     let slot = now mod !bsize in
     let head = (!slot_head).(slot) in
@@ -608,7 +613,7 @@ let run ?(policy = Policy.Timestamp { preemption = false }) ?(patience = 50)
       diverged := true;
       finished := true
     end
-    else if !pending = None && q = 0 then finished := true
+    else if Option.is_none !pending && q = 0 then finished := true
   done;
   let hsteps = !steps_done in
   let verdict =
@@ -620,10 +625,7 @@ let run ?(policy = Policy.Timestamp { preemption = false }) ?(patience = 50)
       if mean_last <= (1.35 *. mean_mid) +. 4.0 then Bounded else Diverging
     end
   in
-  let pct p =
-    if Dtm_util.Stats.Window.length latq = 0 then -1
-    else Dtm_util.Stats.Window.percentile latq p
-  in
+  let lat = latency_percentiles latq in
   {
     horizon = hsteps;
     injected = !injected;
@@ -631,9 +633,9 @@ let run ?(policy = Policy.Timestamp { preemption = false }) ?(patience = 50)
     final_queue = !live;
     peak_queue = !peak_queue;
     mean_queue = (if hsteps = 0 then 0.0 else !queue_sum /. float_of_int hsteps);
-    latency_p50 = pct 50.0;
-    latency_p99 = pct 99.0;
-    latency_p999 = pct 99.9;
+    latency_p50 = lat.(0);
+    latency_p99 = lat.(1);
+    latency_p999 = lat.(2);
     max_latency = !max_latency;
     total_travel = !travel;
     forced_grants = !forced;

@@ -50,6 +50,11 @@ type report = {
   verdict : verdict;
 }
 
+val latency_percentiles : Dtm_util.Stats.Window.t -> int array
+(** [[| p50; p99; p999 |]] of a commit-latency window, from one copy of
+    its samples: the report's three percentile fields, [-1] each when
+    the window is empty. *)
+
 val run :
   ?policy:Policy.t ->
   ?patience:int ->

@@ -135,12 +135,19 @@ type cell = {
   rng : Prng.t;
   owner : int array; (* oid -> owning shard, shared read-only *)
   objs : obj array; (* full object table; only owned slots are used *)
-  src : Stream.source; (* this cell's private replay of the stream *)
-  mutable pending : Stream.txn option;
-  mutable pull_index : int; (* global ids: pull order, all cells agree *)
-  (* transactions anchored here that wait on at least one remote object,
-     addressable by id for DELIVERED / REVOKE application *)
-  remote_txns : (int, txn) Hashtbl.t;
+  (* This round's arrivals anchored here, in pull order: the
+     transaction, its global pull-order id and its injection step.  The
+     coordinator fills the buffer before the round and the cell drains it
+     step by step; slots [arr_head, arr_len) are still to inject. *)
+  mutable arr_txn : Stream.txn array;
+  mutable arr_id : int array;
+  mutable arr_step : int array;
+  mutable arr_len : int;
+  mutable arr_head : int;
+  (* Transactions anchored here that wait on at least one remote object,
+     addressable by id for DELIVERED / REVOKE application (see
+     [remote_find]). *)
+  mutable remote : txn array;
   (* intrusive waiter pool (see Open_system) *)
   mutable wcap : int;
   mutable w_txn : txn array;
@@ -182,12 +189,16 @@ type cell = {
   (* per-round logs, read by the driver at the barrier *)
   inj_delta : int array; (* injections per step offset within the round *)
   com_delta : int array;
-  commit_log : buf; (* (step, id, node) triples, only kept when needed *)
-  mutable exhausted : bool;
+  log_commits : bool; (* an [on_commit] hook wants [commit_log] *)
+  commit_log : buf; (* (step, id, node) triples, kept iff [log_commits] *)
 }
 
+(* Empty arrival-buffer slot: consumed arrivals are overwritten with it
+   so the buffer does not retain the stream. *)
+let no_arrival = { Stream.node = 0; objects = []; arrival = 0 }
+
 let make_cell ~me ~shards ~metric ~policy ~patience ~latency_window ~owner
-    ~homes ~src ~round_steps =
+    ~homes ~round_steps ~log_commits =
   let rng =
     match policy with
     | Policy.Random_grant seed | Policy.Backoff { seed; _ } ->
@@ -221,10 +232,12 @@ let make_cell ~me ~shards ~metric ~policy ~patience ~latency_window ~owner
     rng;
     owner;
     objs;
-    src;
-    pending = Stream.pull src;
-    pull_index = 0;
-    remote_txns = Hashtbl.create 64;
+    arr_txn = Array.make 64 no_arrival;
+    arr_id = Array.make 64 0;
+    arr_step = Array.make 64 0;
+    arr_len = 0;
+    arr_head = 0;
+    remote = Array.make 64 dummy;
     wcap = 256;
     w_txn = Array.make 256 dummy;
     w_prev = Array.make 256 (-1);
@@ -260,9 +273,69 @@ let make_cell ~me ~shards ~metric ~policy ~patience ~latency_window ~owner
     last_reg_arrival = min_int;
     inj_delta = Array.make round_steps 0;
     com_delta = Array.make round_steps 0;
+    log_commits;
     commit_log = buf_make ();
-    exhausted = false;
   }
+
+(* ---- arrivals ----------------------------------------------------- *)
+
+let arrive c ~id ~step st =
+  let n = c.arr_len in
+  if n = Array.length c.arr_id then begin
+    let grow a fill =
+      let na = Array.make (2 * n) fill in
+      Array.blit a 0 na 0 n;
+      na
+    in
+    c.arr_txn <- grow c.arr_txn no_arrival;
+    c.arr_id <- grow c.arr_id 0;
+    c.arr_step <- grow c.arr_step 0
+  end;
+  c.arr_txn.(n) <- st;
+  c.arr_id.(n) <- id;
+  c.arr_step.(n) <- step;
+  c.arr_len <- n + 1
+
+(* ---- remote-transaction table ------------------------------------- *)
+
+(* Direct-mapped on [id land (size - 1)].  Live anchored ids span the
+   frontier, so once the table is wider than that span no two live
+   entries share a slot; an insert that meets a live entry doubles the
+   table, and so does a rehash that meets one, until every live entry
+   has a slot of its own.  Entries leave at commit. *)
+let remote_find c id =
+  let t = c.remote.(id land (Array.length c.remote - 1)) in
+  if t.id = id then t else dummy
+
+let remote_rehash c =
+  let size = ref (2 * Array.length c.remote) in
+  let placed = ref false in
+  while not !placed do
+    let tbl = Array.make !size dummy in
+    let ok = ref true in
+    Array.iter
+      (fun t ->
+        if t.live then begin
+          let s = t.id land (!size - 1) in
+          if tbl.(s).live then ok := false else tbl.(s) <- t
+        end)
+      c.remote;
+    if !ok then begin
+      c.remote <- tbl;
+      placed := true
+    end
+    else size := 2 * !size
+  done
+
+let remote_add c t =
+  while c.remote.(t.id land (Array.length c.remote - 1)).live do
+    remote_rehash c
+  done;
+  c.remote.(t.id land (Array.length c.remote - 1)) <- t
+
+let remote_remove c t =
+  let s = t.id land (Array.length c.remote - 1) in
+  if c.remote.(s) == t then c.remote.(s) <- dummy
 
 (* ---- waiter pool ------------------------------------------------- *)
 
@@ -445,7 +518,7 @@ let send c o oid ~to_ now =
   let d = Dtm_graph.Metric.dist c.metric o.pos to_.node in
   o.holder <- to_;
   o.dest <- to_.node;
-  let t = now + max 1 d in
+  let t = now + Int.max 1 d in
   o.transit_until <- t;
   c.travel <- c.travel + d;
   schedule_delivery c ~now t oid
@@ -609,11 +682,11 @@ let apply_inbox c (net : net) ~round ~now =
         let oid = bf.a.(!i + 1) and id = bf.a.(!i + 2) in
         i := !i + 3;
         if tag = msg_delivered then begin
-          match Hashtbl.find_opt c.remote_txns id with
-          | Some t when t.live ->
+          let t = remote_find c id in
+          if t.live then begin
             t.missing <- t.missing - 1;
             if t.missing = 0 then commit_push c t
-          | _ -> ()
+          end
         end
         else if tag = msg_release then begin
           let o = c.objs.(oid) in
@@ -631,11 +704,12 @@ let apply_inbox c (net : net) ~round ~now =
           (* The owner wants the object back: concede before it moves,
              so this cell never commits a transaction whose object has
              already left its node. *)
-          match Hashtbl.find_opt c.remote_txns id with
-          | Some t when t.live ->
+          let t = remote_find c id in
+          (* A committed transaction's RELEASE is already in flight. *)
+          if t.live then begin
             t.missing <- t.missing + 1;
             post net ~set:wset ~src:c.me ~dst:src msg_ack oid id
-          | _ -> () (* committed: the RELEASE is already in flight *)
+          end
         end
         else if tag = msg_ack then begin
           let o = c.objs.(oid) in
@@ -690,48 +764,43 @@ let apply_inbox c (net : net) ~round ~now =
   done
 
 let run_step c (net : net) ~set ~first now =
-  (* 1. Inject: pull the full stream, keep transactions anchored here,
-     assign the shared pull-order id either way. *)
-  let rec inject () =
-    match c.pending with
-    | Some st when st.Stream.arrival <= now ->
-      let gid = c.pull_index in
-      c.pull_index <- gid + 1;
-      if anchor_of ~shards:c.shards st = c.me then begin
-        let k = List.length st.Stream.objects in
-        let t =
-          {
-            id = gid;
-            node = st.Stream.node;
-            arrival = st.Stream.arrival;
-            anchor = c.me;
-            objects = Array.of_list st.Stream.objects;
-            wslots = Array.make k (-1);
-            missing = k;
-            live = true;
-          }
-        in
-        c.injected <- c.injected + 1;
-        c.live_count <- c.live_count + 1;
-        c.inj_delta.(now - first) <- c.inj_delta.(now - first) + 1;
-        q_push c t;
-        let remote = ref false in
-        for i = 0 to k - 1 do
-          let oid = t.objects.(i) in
-          if c.owner.(oid) = c.me then t.wslots.(i) <- register_waiter c t oid
-          else begin
-            remote := true;
-            post4 net ~set ~src:c.me ~dst:c.owner.(oid) msg_request oid gid
-              t.node t.arrival
-          end
-        done;
-        if !remote then Hashtbl.replace c.remote_txns gid t
-      end;
-      c.pending <- Stream.pull c.src;
-      inject ()
-    | _ -> ()
-  in
-  inject ();
+  (* 1. Inject this step's arrivals from the buffer the coordinator routed
+     here (ids are global pull-order ids).  A loop, not a local
+     recursive function, so a step allocates no closure. *)
+  while c.arr_head < c.arr_len && c.arr_step.(c.arr_head) <= now do
+    let a = c.arr_head in
+    c.arr_head <- a + 1;
+    let st = c.arr_txn.(a) and gid = c.arr_id.(a) in
+    c.arr_txn.(a) <- no_arrival;
+    let k = List.length st.Stream.objects in
+    let t =
+      {
+        id = gid;
+        node = st.Stream.node;
+        arrival = st.Stream.arrival;
+        anchor = c.me;
+        objects = Array.of_list st.Stream.objects;
+        wslots = Array.make k (-1);
+        missing = k;
+        live = true;
+      }
+    in
+    c.injected <- c.injected + 1;
+    c.live_count <- c.live_count + 1;
+    c.inj_delta.(now - first) <- c.inj_delta.(now - first) + 1;
+    q_push c t;
+    let remote = ref false in
+    for i = 0 to k - 1 do
+      let oid = t.objects.(i) in
+      if c.owner.(oid) = c.me then t.wslots.(i) <- register_waiter c t oid
+      else begin
+        remote := true;
+        post4 net ~set ~src:c.me ~dst:c.owner.(oid) msg_request oid gid t.node
+          t.arrival
+      end
+    done;
+    if !remote then remote_add c t
+  done;
   (* 2. Deliver this step's calendar bucket. *)
   let slot = now mod c.bsize in
   let head = c.slot_head.(slot) in
@@ -766,9 +835,11 @@ let run_step c (net : net) ~set ~first now =
         let latency = now - t.arrival + 1 in
         Window.add c.latq latency;
         if latency > c.max_latency then c.max_latency <- latency;
-        buf_push c.commit_log now;
-        buf_push c.commit_log t.id;
-        buf_push c.commit_log t.node;
+        if c.log_commits then begin
+          buf_push c.commit_log now;
+          buf_push c.commit_log t.id;
+          buf_push c.commit_log t.node
+        end;
         for j = 0 to Array.length t.objects - 1 do
           let oid = t.objects.(j) in
           if c.owner.(oid) = c.me then begin
@@ -782,7 +853,7 @@ let run_step c (net : net) ~set ~first now =
           end
           else post net ~set ~src:c.me ~dst:c.owner.(oid) msg_release oid t.id
         done;
-        Hashtbl.remove c.remote_txns t.id;
+        remote_remove c t;
         c.last_progress <- now
       end
     done
@@ -879,7 +950,7 @@ let run_step c (net : net) ~set ~first now =
 
 let run_round c (net : net) ~round ~round_steps ~horizon =
   let first = (round * round_steps) + 1 in
-  let last = min (first + round_steps - 1) horizon in
+  let last = Int.min (first + round_steps - 1) horizon in
   Array.fill c.inj_delta 0 round_steps 0;
   Array.fill c.com_delta 0 round_steps 0;
   c.commit_log.len <- 0;
@@ -887,8 +958,7 @@ let run_round c (net : net) ~round ~round_steps ~horizon =
   apply_inbox c net ~round ~now:first;
   for now = first to last do
     run_step c net ~set ~first now
-  done;
-  c.exhausted <- c.pending = None
+  done
 
 (* ------------------------------------------------------------------ *)
 (* The driver                                                          *)
@@ -910,13 +980,14 @@ let run ?(policy = Policy.Timestamp { preemption = false }) ?(patience = 50)
     let pool = match pool with Some p -> p | None -> Pool.default () in
     let num_objects = Array.length homes in
     let owner = Array.init num_objects (shard_of ~shards) in
+    let src = make_source () in
+    if num_objects <> Stream.source_num_objects src then
+      invalid_arg "Sharded.run: homes size mismatch";
+    let log_commits = Option.is_some on_commit in
     let cells =
       Array.init shards (fun me ->
-        let src = make_source () in
-        if Array.length homes <> Stream.source_num_objects src then
-          invalid_arg "Sharded.run: homes size mismatch";
         make_cell ~me ~shards ~metric ~policy ~patience ~latency_window
-          ~owner ~homes ~src ~round_steps)
+          ~owner ~homes ~round_steps ~log_commits)
     in
     let net =
       Array.init 2 (fun _ ->
@@ -932,6 +1003,40 @@ let run ?(policy = Policy.Timestamp { preemption = false }) ?(patience = 50)
     let diverged = ref false in
     let finished = ref false in
     let round = ref 0 in
+    (* The stream is drawn once, by the coordinator, a round at a time:
+       [pending] is the next transaction not yet routed, [next_id] its
+       pull-order id and [inject_step] the step its predecessor enters
+       at.  A transaction enters at the later of its arrival and that
+       step, which is where an engine pulling at every step injects it,
+       even from a source whose arrivals go backwards. *)
+    let pending = ref (Stream.pull src) in
+    let next_id = ref 0 in
+    let inject_step = ref 1 in
+    let draw ~last =
+      for i = 0 to shards - 1 do
+        cells.(i).arr_len <- 0;
+        cells.(i).arr_head <- 0
+      done;
+      let drawing = ref true in
+      while !drawing do
+        match !pending with
+        | Some st ->
+          let step =
+            if st.Stream.arrival > !inject_step then st.Stream.arrival
+            else !inject_step
+          in
+          if step <= last then begin
+            inject_step := step;
+            arrive cells.(anchor_of ~shards st) ~id:!next_id ~step st;
+            incr next_id;
+            pending := Stream.pull src
+          end
+          else drawing := false
+        | None -> drawing := false
+      done
+    in
+    (* Allocated once, not per round. *)
+    let run_cell i = run_round cells.(i) net ~round:!round ~round_steps ~horizon in
     (* Merge scratch for on_commit: triples gathered across cells and
        sorted by (step, id) — the same per-step ascending-id order the
        unsharded engine reports. *)
@@ -960,25 +1065,19 @@ let run ?(policy = Policy.Timestamp { preemption = false }) ?(patience = 50)
         end
     in
     while not !finished do
-      let r = !round in
-      let first = (r * round_steps) + 1 in
-      let last = min (first + round_steps - 1) horizon in
-      ignore
-        (Pool.map pool
-           (fun i ->
-             run_round cells.(i) net ~round:r ~round_steps ~horizon;
-             ())
-           idxs);
+      let first = (!round * round_steps) + 1 in
+      let last = Int.min (first + round_steps - 1) horizon in
+      draw ~last;
+      ignore (Pool.map pool run_cell idxs);
       (* The map join is the barrier: every cell's round is complete and
          published.  Merge the per-step deltas in step order. *)
       for s = first to last do
         let off = s - first in
         let di = ref 0 and dc = ref 0 in
-        Array.iter
-          (fun c ->
-            di := !di + c.inj_delta.(off);
-            dc := !dc + c.com_delta.(off))
-          cells;
+        for i = 0 to shards - 1 do
+          di := !di + cells.(i).inj_delta.(off);
+          dc := !dc + cells.(i).com_delta.(off)
+        done;
         g_inj := !g_inj + !di;
         g_com := !g_com + !dc;
         let q = !g_inj - !g_com in
@@ -993,9 +1092,9 @@ let run ?(policy = Policy.Timestamp { preemption = false }) ?(patience = 50)
         if q > divergence_cap then diverged := true
       done;
       merge_commits ();
-      let all_exhausted = Array.for_all (fun c -> c.exhausted) cells in
       if !diverged then finished := true
-      else if all_exhausted && !g_inj - !g_com = 0 then finished := true
+      else if Option.is_none !pending && !g_inj - !g_com = 0 then
+        finished := true
       else if last >= horizon then finished := true;
       incr round
     done;
@@ -1014,7 +1113,7 @@ let run ?(policy = Policy.Timestamp { preemption = false }) ?(patience = 50)
       Window.merge ~capacity:latency_window
         (Array.to_list (Array.map (fun c -> c.latq) cells))
     in
-    let pct p = if Window.length latq = 0 then -1 else Window.percentile latq p in
+    let lat = Open_system.latency_percentiles latq in
     let sum f = Array.fold_left (fun acc c -> acc + f c) 0 cells in
     {
       Open_system.horizon = hsteps;
@@ -1024,9 +1123,9 @@ let run ?(policy = Policy.Timestamp { preemption = false }) ?(patience = 50)
       peak_queue = !peak_queue;
       mean_queue =
         (if hsteps = 0 then 0.0 else !queue_sum /. float_of_int hsteps);
-      latency_p50 = pct 50.0;
-      latency_p99 = pct 99.0;
-      latency_p999 = pct 99.9;
+      latency_p50 = lat.(0);
+      latency_p99 = lat.(1);
+      latency_p999 = lat.(2);
       max_latency = Array.fold_left (fun acc c -> max acc c.max_latency) 0 cells;
       total_travel = sum (fun c -> c.travel);
       forced_grants = sum (fun c -> c.forced);

@@ -22,9 +22,12 @@
     receiver at the start of round [r + 1], read in fixed sender order
     from per-(sender, receiver) buffers.  The barrier is the pool-map
     join, so for a given (stream, shards, round_steps) the result is
-    byte-identical at any [-j N].  Every cell replays its own copy of
-    the stream and assigns ids in pull order, so ids — and therefore
-    timestamp order — are global and identical across shards.
+    byte-identical at any [-j N].  The coordinator draws the stream once: at
+    each round it pulls the round's arrivals, numbers them in pull order
+    and routes each into its anchor cell's arrival buffer, so ids — and
+    therefore timestamp order — are global, and every transaction is
+    injected at the step a single engine pulling the same source would
+    inject it.
 
     [shards = 1] delegates to {!Open_system.run} and reproduces its
     report exactly.  At every [S], [injected = committed + final_queue]
@@ -53,9 +56,8 @@ val run :
   horizon:int ->
   Open_system.report
 (** [run ~shards metric make_source ~homes ~horizon] drives the sharded
-    system.  [make_source] is called once per shard (each cell replays
-    the stream privately), so it must return equal sources — e.g.
-    [Injection.source_factory spec].  Defaults match {!Open_system.run}
+    system.  [make_source] is called exactly once, whatever [shards]
+    (e.g. [Injection.source_factory spec]).  Defaults match {!Open_system.run}
     ([patience 50], [latency_window 65536], [divergence_cap 10_000],
     non-preemptive timestamp policy), plus [pool] (the shared default
     pool) and [round_steps = 4], the message latency granularity.  Longer rounds

@@ -18,6 +18,10 @@ type t = {
 let jobs t = t.size
 
 let worker pool =
+  (* Backtrace recording is per domain in OCaml 5: without this a task
+     that raises here re-raises on the joining domain with an empty
+     backtrace instead of its origin. *)
+  Printexc.record_backtrace true;
   let rec next () =
     if pool.stopping then None
     else if Queue.is_empty pool.queue then begin

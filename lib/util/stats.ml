@@ -24,7 +24,7 @@ let percentile xs p =
   if n = 0 then invalid_arg "Stats.percentile: empty";
   if p < 0.0 || p > 100.0 then invalid_arg "Stats.percentile: p out of range";
   let sorted = Array.copy xs in
-  Array.sort compare sorted;
+  Array.sort Float.compare sorted;
   let rank = p /. 100.0 *. float_of_int (n - 1) in
   let lo = int_of_float (floor rank) and hi = int_of_float (ceil rank) in
   if lo = hi then sorted.(lo)
@@ -119,9 +119,9 @@ let spearman xs ys =
 module Window = struct
   (* Bounded ring buffer of integer samples with exact nearest-rank
      percentiles over the window contents.  The buffer is allocated once
-     at [create]; [add] never allocates, and [percentile] sorts a scratch
-     array also allocated at [create], so a long steady-state run can
-     sample latencies without GC pressure. *)
+     at [create] and [add] never allocates, so a long steady-state run
+     can sample latencies without GC pressure.  A report copies the live
+     samples once and selects every requested rank in that copy. *)
   type t = {
     buf : int array;
     mutable next : int; (* write cursor *)
@@ -149,22 +149,71 @@ module Window = struct
     if w.filled < cap then w.filled <- w.filled + 1;
     w.total <- w.total + 1
 
+  (* In-place 3-way quickselect: rearranges [a] so that position [k]
+     holds its order statistic, and returns it.  The 3-way split takes a
+     whole run of pivot-equal samples out of play in one pass, which is
+     what latencies (small integers, heavily repeated) need. *)
+  let select (a : int array) k =
+    let lo = ref 0 and hi = ref (Array.length a - 1) and found = ref false in
+    while not !found do
+      if !lo >= !hi then found := true
+      else begin
+        let mid = !lo + ((!hi - !lo) / 2) in
+        let x = a.(!lo) and y = a.(mid) and z = a.(!hi) in
+        (* median of three *)
+        let p =
+          if x < y then (if y < z then y else if x < z then z else x)
+          else if x < z then x
+          else if y < z then z
+          else y
+        in
+        (* a.(lo..lt-1) < p, a.(lt..i-1) = p, a.(gt+1..hi) > p *)
+        let lt = ref !lo and i = ref !lo and gt = ref !hi in
+        while !i <= !gt do
+          let v = a.(!i) in
+          if v < p then begin
+            a.(!i) <- a.(!lt);
+            a.(!lt) <- v;
+            incr lt;
+            incr i
+          end
+          else if v > p then begin
+            a.(!i) <- a.(!gt);
+            a.(!gt) <- v;
+            decr gt
+          end
+          else incr i
+        done;
+        if k < !lt then hi := !lt - 1
+        else if k > !gt then lo := !gt + 1
+        else found := true
+      end
+    done;
+    a.(k)
+
   (* Exact nearest-rank percentile: the smallest sample such that at
      least ceil(p/100 * n) samples are <= it.  No interpolation — tail
      latencies should report a value that actually occurred. *)
-  let percentile w p =
+  let percentiles w ps =
     if w.filled = 0 then invalid_arg "Stats.Window.percentile: empty";
-    if p < 0.0 || p > 100.0 then
-      invalid_arg "Stats.Window.percentile: p out of range";
+    Array.iter
+      (fun p ->
+        if p < 0.0 || p > 100.0 then
+          invalid_arg "Stats.Window.percentile: p out of range")
+      ps;
     let n = w.filled in
     (* The ring occupies slots 0..filled-1 whenever filled < capacity and
        the whole buffer once full, so the live multiset is always a
        prefix. *)
-    let sorted = Array.sub w.buf 0 n in
-    Array.sort Int.compare sorted;
-    let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
-    let rank = if rank < 1 then 1 else if rank > n then n else rank in
-    sorted.(rank - 1)
+    let live = Array.sub w.buf 0 n in
+    Array.map
+      (fun p ->
+        let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
+        let rank = if rank < 1 then 1 else if rank > n then n else rank in
+        select live (rank - 1))
+      ps
+
+  let percentile w p = (percentiles w [| p |]).(0)
 
   let p50 w = percentile w 50.0
   let p99 w = percentile w 99.0

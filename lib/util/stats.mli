@@ -44,10 +44,12 @@ val histogram : float array -> bins:int -> (float * int) array
 (** Bounded sliding window of integer samples (e.g. latencies in steps)
     with exact nearest-rank percentiles.  The ring is allocated at
     [create] and [add] never allocates, so a 10^7-transaction
-    steady-state run can record every latency without GC pressure;
-    [percentile] sorts a copy of the live samples (report-time only).
-    Once more than [capacity] samples arrive, the window holds the most
-    recent [capacity] of them. *)
+    steady-state run can record every latency without GC pressure.  A
+    percentile query copies the live samples once (report-time only) and
+    finds each requested rank by in-place selection, so {!percentiles}
+    answers several ranks for the price of one copy.  Once more than
+    [capacity] samples arrive, the window holds the most recent
+    [capacity] of them. *)
 module Window : sig
   type t
 
@@ -70,6 +72,11 @@ module Window : sig
       with at least [ceil (p/100 * length)] samples [<=] it.  Always a
       value that actually occurred.  Raises [Invalid_argument] on an
       empty window or [p] outside [0, 100]. *)
+
+  val percentiles : t -> float array -> int array
+  (** [percentiles w ps] is [Array.map (percentile w) ps], computed on
+      one copy of the live samples — the way a report asks for p50, p99
+      and p99.9 together.  Raises as {!percentile} does. *)
 
   val p50 : t -> int
   val p99 : t -> int

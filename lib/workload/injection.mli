@@ -39,10 +39,10 @@ val source : ?limit:int -> spec -> Dtm_online.Stream.source
 
 val source_factory : ?limit:int -> spec -> unit -> Dtm_online.Stream.source
 (** [source_factory ?limit spec] packages {!source} for engines that
-    need several identical replays of one stream — each call of the
-    returned thunk is a fresh source with its own generator state, so
-    the per-shard replays of [Dtm_online.Sharded] draw identically.
-    Validates the spec once, eagerly. *)
+    take a stream factory, such as [Dtm_online.Sharded.run] — each call
+    of the returned thunk is a fresh source with its own generator
+    state, so repeated calls draw identically.  Validates the spec once,
+    eagerly. *)
 
 val homes : spec -> int array
 (** Initial object placement: uniform per object, drawn from a

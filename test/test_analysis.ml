@@ -289,18 +289,25 @@ let seven_topologies =
 
 let test_certificates_hold () =
   (* 200 seeds x 7 topologies: fanned out on the domain pool (the same
-     machinery the -j flag uses), failures reported in seed order. *)
+     machinery the -j flag uses).  Workers only compute; every assertion
+     runs on the calling domain, in seed order, because Alcotest's
+     reporting is not domain-safe. *)
   Dtm_util.Pool.with_pool ~jobs:4 (fun pool ->
       List.iter
         (fun topo ->
           let n = Topology.n topo in
-          Dtm_util.Pool.map pool
-            (fun seed ->
-              let rng = Prng.create ~seed in
-              let w = 1 + Prng.int rng (max 1 (n / 2)) in
-              let k = 1 + Prng.int rng (min 3 w) in
-              let inst = uniform rng ~n ~w ~k in
-              let cert, diags = Certificate.check_auto ~seed topo inst in
+          let results =
+            Dtm_util.Pool.map pool
+              (fun seed ->
+                let rng = Prng.create ~seed in
+                let w = 1 + Prng.int rng (max 1 (n / 2)) in
+                let k = 1 + Prng.int rng (min 3 w) in
+                let inst = uniform rng ~n ~w ~k in
+                (seed, Certificate.check_auto ~seed topo inst))
+              (List.init 200 Fun.id)
+          in
+          List.iter
+            (fun (seed, (cert, diags)) ->
               if diags <> [] then
                 Alcotest.failf "%s seed %d: %s"
                   (Topology.to_string topo)
@@ -311,8 +318,7 @@ let test_certificates_hold () =
                 Alcotest.(check bool) "makespan within bound" true
                   (cert.Certificate.makespan <= b)
               | None -> Alcotest.failf "%s: no bound" (Topology.to_string topo))
-            (List.init 200 Fun.id)
-          |> ignore)
+            results)
         seven_topologies)
 
 let test_certificate_failure_path () =

@@ -50,6 +50,47 @@ let test_earliest_exception_wins () =
             Alcotest.(check int) "lowest failing index" 2 i)
         (List.init 10 Fun.id))
 
+(* Raises from a worker domain only: a task that lands on the joining
+   domain (which helps) waits until a worker has raised, so exactly the
+   worker's backtrace is the one re-raised. *)
+exception Origin
+
+let worker_raised = Atomic.make false
+
+let[@inline never] raise_from_worker () =
+  Atomic.set worker_raised true;
+  raise Origin
+
+let test_backtrace_keeps_origin () =
+  Printexc.record_backtrace true;
+  let main = Domain.self () in
+  Atomic.set worker_raised false;
+  Pool.with_pool ~jobs:2 (fun p ->
+      let task _ =
+        if Domain.self () <> main then raise_from_worker ()
+        else begin
+          let deadline = Unix.gettimeofday () +. 30.0 in
+          while (not (Atomic.get worker_raised)) && Unix.gettimeofday () < deadline do
+            Domain.cpu_relax ()
+          done
+        end
+      in
+      match Pool.map p task [ 0; 1 ] with
+      | _ -> Alcotest.fail "expected Origin from a worker domain"
+      | exception Origin ->
+        let bt = Printexc.get_backtrace () in
+        let names_origin =
+          let needle = "raise_from_worker" in
+          let n = String.length needle in
+          let rec scan i =
+            i + n <= String.length bt && (String.sub bt i n = needle || scan (i + 1))
+          in
+          scan 0
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "backtrace names the raising function:\n%s" bt)
+          true names_origin)
+
 let test_nested_maps () =
   (* An outer map whose tasks themselves map on the same pool: the
      helping join must keep this deadlock-free at any pool size. *)
@@ -174,6 +215,8 @@ let () =
           Alcotest.test_case "map_reduce ordered" `Quick test_map_reduce_ordered;
           Alcotest.test_case "earliest exception wins" `Quick
             test_earliest_exception_wins;
+          Alcotest.test_case "worker backtrace keeps its origin" `Quick
+            test_backtrace_keeps_origin;
           Alcotest.test_case "nested maps" `Quick test_nested_maps;
           Alcotest.test_case "bsp barrier" `Quick test_bsp_rounds_and_barrier;
           Alcotest.test_case "bsp termination" `Quick test_bsp_stops_when_all_done;

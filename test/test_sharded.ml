@@ -10,6 +10,9 @@
      - a fixed (spec, shards) is byte-identical at -j1 and -j4: the
        pool size may change the interleaving of rounds across domains
        but never the result,
+     - full reports at shards in {2, 3, 4} under every policy, on an
+       injection source and on a non-monotone one, match golden values,
+       and the stream factory is called exactly once,
      - a 10^6-transaction steady-state run at shards = 4 stays on the
        frontier (live-heap bound) and allocates O(1) per transaction. *)
 
@@ -311,15 +314,169 @@ let test_sharded_steady_state_allocation () =
            live_growth)
         true
         (live_growth < 3_000_000);
-      (* Each of the 4 cells replays the full generator stream, so the
-         per-transaction constant is roughly 4x the generator share of
-         the unsharded engine's plus the protocol's own messages; the
-         bound still trips on anything super-linear in the history. *)
+      (* The per-transaction constant is the generator's share of the
+         unsharded engine's plus the protocol's own messages and proxy
+         records; the bound trips on anything super-linear in the
+         history. *)
       let per_txn = words /. float_of_int txns in
       Alcotest.(check bool)
         (Printf.sprintf "allocation is O(1) per transaction (%.1f words/txn)"
            per_txn)
         true (per_txn < 1_200.0))
+
+(* ------------------------------------------------------------------ *)
+(* Golden reports: S in {2, 3, 4} x every policy                       *)
+(* ------------------------------------------------------------------ *)
+
+let golden_policies =
+  [
+    Policy.Timestamp { preemption = false };
+    Policy.Timestamp { preemption = true };
+    Policy.Nearest;
+    Policy.Random_grant 3;
+    Policy.Window_greedy { window = 8; seed = 4 };
+    Policy.Backoff { seed = 5; limit = 6 };
+  ]
+
+(* Every report field; the mean backlog in hex so the pin is exact. *)
+let render (r : Open_system.report) =
+  Printf.sprintf
+    "h=%d inj=%d com=%d fq=%d pq=%d mq=%h p50=%d p99=%d p999=%d max=%d tr=%d \
+     fg=%d pr=%d %s"
+    r.Open_system.horizon r.Open_system.injected r.Open_system.committed
+    r.Open_system.final_queue r.Open_system.peak_queue r.Open_system.mean_queue
+    r.Open_system.latency_p50 r.Open_system.latency_p99
+    r.Open_system.latency_p999 r.Open_system.max_latency
+    r.Open_system.total_travel r.Open_system.forced_grants
+    r.Open_system.preemptions
+    (Open_system.verdict_to_string r.Open_system.verdict)
+
+let golden_metric =
+  Topology.metric (Topology.Grid { rows = 6; cols = 6 })
+
+let golden_spec =
+  {
+    Injection.n = 36;
+    num_objects = 32;
+    k = 2;
+    rate = 0.15;
+    burst = 3;
+    dist = Injection.Zipf_objects 1.0;
+    seed = 17;
+  }
+
+(* A deliberately non-monotone source: arrivals jitter by up to +-4
+   steps around a rate of 1/3, so the injection-step rule (a
+   transaction enters no earlier than its predecessor) and the
+   non-monotone grant paths are pinned too. *)
+let jittered () =
+  let rng = Prng.create ~seed:23 in
+  let i = ref 0 in
+  Stream.make_source ~n:36 ~num_objects:32 (fun () ->
+      if !i >= 2000 then None
+      else begin
+        let arrival = max 1 (1 + (!i * 3) + Prng.int rng 9 - 4) in
+        incr i;
+        let node = Prng.int rng 36 in
+        let o1 = Prng.int rng 32 in
+        let o2 = (o1 + 1 + Prng.int rng 31) mod 32 in
+        Some { Stream.node; objects = [ o1; o2 ]; arrival }
+      end)
+
+(* (shards, policy, report, digest of the on_commit sequence) *)
+let golden_injection =
+  [
+    (2, "timestamp", "h=20012 inj=3000 com=3000 fq=0 pq=6 mq=0x1.6b2604cf5687p+0 p50=9 p99=25 p999=34 max=46 tr=23115 fg=213 pr=0 bounded", 69020316228158);
+    (2, "timestamp+preemption (Greedy CM)", "h=20012 inj=3000 com=3000 fq=0 pq=6 mq=0x1.6b2604cf5687p+0 p50=9 p99=25 p999=34 max=46 tr=23115 fg=213 pr=0 bounded", 69020316228158);
+    (2, "nearest", "h=20012 inj=3000 com=3000 fq=0 pq=5 mq=0x1.685f612ba5bccp+0 p50=9 p99=26 p999=41 max=45 tr=22397 fg=228 pr=0 bounded", 234370063512199);
+    (2, "random", "h=20012 inj=3000 com=3000 fq=0 pq=12 mq=0x1.8f0e7b1d03537p+0 p50=9 p99=49 p999=83 max=151 tr=23367 fg=254 pr=0 bounded", 80205669731399);
+    (2, "window-greedy", "h=20012 inj=3000 com=3000 fq=0 pq=6 mq=0x1.6d425dd830b69p+0 p50=9 p99=26 p999=33 max=46 tr=23189 fg=227 pr=0 bounded", 146225732452125);
+    (2, "randomized-backoff", "h=20012 inj=3000 com=3000 fq=0 pq=11 mq=0x1.89af0cd7ef377p+0 p50=9 p99=41 p999=107 max=121 tr=23253 fg=256 pr=0 bounded", 107559963260959);
+    (3, "timestamp", "h=20020 inj=3000 com=3000 fq=0 pq=5 mq=0x1.8c2fabb4e9da4p+0 p50=12 p99=25 p999=34 max=37 tr=23127 fg=345 pr=0 bounded", 251607018428285);
+    (3, "timestamp+preemption (Greedy CM)", "h=20020 inj=3000 com=3000 fq=0 pq=5 mq=0x1.8c2fabb4e9da4p+0 p50=12 p99=25 p999=34 max=37 tr=23127 fg=345 pr=0 bounded", 251607018428285);
+    (3, "nearest", "h=20020 inj=3000 com=3000 fq=0 pq=7 mq=0x1.8e142713e59b7p+0 p50=11 p99=26 p999=45 max=65 tr=22449 fg=368 pr=0 bounded", 84278181452331);
+    (3, "random", "h=20020 inj=3000 com=3000 fq=0 pq=15 mq=0x1.c9f613be532bp+0 p50=13 p99=60 p999=163 max=179 tr=23437 fg=405 pr=0 bounded", 101987204886870);
+    (3, "window-greedy", "h=20020 inj=3000 com=3000 fq=0 pq=6 mq=0x1.92180a3ad238cp+0 p50=12 p99=25 p999=33 max=37 tr=23247 fg=380 pr=0 bounded", 229100459280221);
+    (3, "randomized-backoff", "h=20020 inj=3000 com=3000 fq=0 pq=16 mq=0x1.cec4ec4ec4ec5p+0 p50=13 p99=61 p999=135 max=161 tr=23483 fg=415 pr=0 bounded", 199277889167500);
+    (4, "timestamp", "h=20012 inj=3000 com=3000 fq=0 pq=6 mq=0x1.a1600b7640936p+0 p50=13 p99=26 p999=33 max=34 tr=23127 fg=432 pr=0 bounded", 250127982117819);
+    (4, "timestamp+preemption (Greedy CM)", "h=20012 inj=3000 com=3000 fq=0 pq=6 mq=0x1.a1600b7640936p+0 p50=13 p99=26 p999=33 max=34 tr=23127 fg=432 pr=0 bounded", 250127982117819);
+    (4, "nearest", "h=20012 inj=3000 com=3000 fq=0 pq=6 mq=0x1.a54a24f1b948bp+0 p50=13 p99=29 p999=42 max=45 tr=22547 fg=452 pr=0 bounded", 228499946264841);
+    (4, "random", "h=20012 inj=3000 com=3000 fq=0 pq=9 mq=0x1.bfefa03608e75p+0 p50=13 p99=41 p999=77 max=86 tr=23365 fg=476 pr=0 bounded", 145588417717736);
+    (4, "window-greedy", "h=20012 inj=3000 com=3000 fq=0 pq=6 mq=0x1.a4788e0bc4d93p+0 p50=13 p99=26 p999=33 max=41 tr=23267 fg=449 pr=0 bounded", 222710741018461);
+    (4, "randomized-backoff", "h=20012 inj=3000 com=3000 fq=0 pq=13 mq=0x1.cfdccba75ff14p+0 p50=13 p99=53 p999=122 max=133 tr=23445 fg=487 pr=0 bounded", 22946632660233);
+  ]
+
+let golden_jittered =
+  [
+    (2, "timestamp", "h=6016 inj=2000 com=2000 fq=0 pq=10 mq=0x1.597d46cefa8dap+1 p50=9 p99=23 p999=40 max=41 tr=15668 fg=11 pr=0 bounded", 215960802778820);
+    (2, "timestamp+preemption (Greedy CM)", "h=6016 inj=2000 com=2000 fq=0 pq=7 mq=0x1.57d9df51b3beap+1 p50=9 p99=22 p999=27 max=28 tr=15698 fg=10 pr=12 bounded", 61612083861581);
+    (2, "nearest", "h=6016 inj=2000 com=2000 fq=0 pq=8 mq=0x1.51f51b3bea367p+1 p50=9 p99=22 p999=44 max=45 tr=15518 fg=12 pr=0 bounded", 77464457198038);
+    (2, "random", "h=6016 inj=2000 com=2000 fq=0 pq=9 mq=0x1.5a46cefa8d9dfp+1 p50=9 p99=25 p999=41 max=51 tr=15639 fg=14 pr=0 bounded", 160523494576833);
+    (2, "window-greedy", "h=6016 inj=2000 com=2000 fq=0 pq=9 mq=0x1.5b15c9882b931p+1 p50=9 p99=24 p999=41 max=47 tr=15688 fg=11 pr=0 bounded", 241715855623811);
+    (2, "randomized-backoff", "h=6016 inj=2000 com=2000 fq=0 pq=9 mq=0x1.5a10572620ae5p+1 p50=9 p99=25 p999=40 max=41 tr=15681 fg=14 pr=0 bounded", 106672271126405);
+    (3, "timestamp", "h=6012 inj=2000 com=2000 fq=0 pq=13 mq=0x1.7d8d3344a431cp+1 p50=10 p99=25 p999=63 max=68 tr=15664 fg=40 pr=0 bounded", 46654566651065);
+    (3, "timestamp+preemption (Greedy CM)", "h=6012 inj=2000 com=2000 fq=0 pq=9 mq=0x1.784af185b4b74p+1 p50=10 p99=24 p999=32 max=36 tr=15712 fg=41 pr=21 bounded", 32762413722462);
+    (3, "nearest", "h=6012 inj=2000 com=2000 fq=0 pq=13 mq=0x1.796bd0fd71f2bp+1 p50=10 p99=26 p999=63 max=74 tr=15530 fg=46 pr=0 bounded", 268663197445097);
+    (3, "random", "h=6012 inj=2000 com=2000 fq=0 pq=13 mq=0x1.7fc40b950907p+1 p50=10 p99=28 p999=63 max=86 tr=15666 fg=40 pr=0 bounded", 143820487550237);
+    (3, "window-greedy", "h=6012 inj=2000 com=2000 fq=0 pq=8 mq=0x1.74e8531e7d04fp+1 p50=10 p99=23 p999=30 max=31 tr=15666 fg=42 pr=0 bounded", 196448784397059);
+    (3, "randomized-backoff", "h=6012 inj=2000 com=2000 fq=0 pq=11 mq=0x1.7d77660678ee7p+1 p50=10 p99=29 p999=77 max=95 tr=15642 fg=42 pr=0 bounded", 92200867258227);
+    (4, "timestamp", "h=6016 inj=2000 com=2000 fq=0 pq=9 mq=0x1.8f4c415c9882cp+1 p50=10 p99=25 p999=40 max=41 tr=15675 fg=63 pr=0 bounded", 94292235066247);
+    (4, "timestamp+preemption (Greedy CM)", "h=6016 inj=2000 com=2000 fq=0 pq=8 mq=0x1.8d9310572620bp+1 p50=10 p99=24 p999=36 max=36 tr=15726 fg=61 pr=19 bounded", 100671148439166);
+    (4, "nearest", "h=6016 inj=2000 com=2000 fq=0 pq=9 mq=0x1.8e77d46cefa8ep+1 p50=10 p99=26 p999=45 max=50 tr=15565 fg=72 pr=0 bounded", 7521887714744);
+    (4, "random", "h=6016 inj=2000 com=2000 fq=0 pq=9 mq=0x1.9277d46cefa8ep+1 p50=10 p99=28 p999=41 max=44 tr=15661 fg=70 pr=0 bounded", 4879722184502);
+    (4, "window-greedy", "h=6016 inj=2000 com=2000 fq=0 pq=9 mq=0x1.9282b93105726p+1 p50=10 p99=27 p999=41 max=43 tr=15695 fg=66 pr=0 bounded", 158723867027970);
+    (4, "randomized-backoff", "h=6016 inj=2000 com=2000 fq=0 pq=9 mq=0x1.92fa8d9df51b4p+1 p50=10 p99=27 p999=44 max=45 tr=15688 fg=72 pr=0 bounded", 143618474242902);
+  ]
+
+let check_golden name ~make_source ~homes ~horizon expected =
+  List.iter
+    (fun (shards, pname, report, digest) ->
+      let policy =
+        List.find (fun p -> Policy.to_string p = pname) golden_policies
+      in
+      let label = Printf.sprintf "%s S=%d %s" name shards pname in
+      let run ?on_commit () =
+        Sharded.run ~policy ~patience:8 ?on_commit ~shards golden_metric
+          make_source ~homes ~horizon
+      in
+      Alcotest.(check string) label report (render (run ()));
+      let d = ref 0 in
+      let on_commit ~id ~node ~step =
+        d := ((!d * 31) + (id * 7919) + (node * 104729) + step) land 0xFFFFFFFFFFFF
+      in
+      Alcotest.(check string) (label ^ " (on_commit)") report
+        (render (run ~on_commit ()));
+      Alcotest.(check int) (label ^ " commit digest") digest !d)
+    expected
+
+let test_golden_injection () =
+  check_golden "injection"
+    ~make_source:(Injection.source_factory ~limit:3000 golden_spec)
+    ~homes:(Injection.homes golden_spec) ~horizon:30_000 golden_injection
+
+let test_golden_jittered () =
+  check_golden "jittered" ~make_source:jittered
+    ~homes:(Array.init 32 (fun o -> o * 7 mod 36))
+    ~horizon:20_000 golden_jittered
+
+(* The stream is drawn once per run, at any shard count. *)
+let test_factory_called_once () =
+  List.iter
+    (fun shards ->
+      let calls = ref 0 in
+      let make_source () =
+        incr calls;
+        Injection.source ~limit:200 golden_spec
+      in
+      let r =
+        Sharded.run ~shards golden_metric make_source
+          ~homes:(Injection.homes golden_spec) ~horizon:5_000
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "S=%d: all drained" shards)
+        200 r.Open_system.committed;
+      Alcotest.(check int) (Printf.sprintf "S=%d: one factory call" shards) 1 !calls)
+    [ 1; 2; 3; 4; 8 ]
 
 let () =
   Alcotest.run "dtm_sharded"
@@ -328,6 +485,15 @@ let () =
       ("conservation", [ prop_conservation_sharded ]);
       ("trace-lints", [ prop_lint_prefixes_sharded ]);
       ("determinism", [ prop_jobs_byte_identical ]);
+      ( "golden",
+        [
+          Alcotest.test_case "injection source, S=2..4, every policy" `Quick
+            test_golden_injection;
+          Alcotest.test_case "non-monotone source, S=2..4, every policy" `Quick
+            test_golden_jittered;
+          Alcotest.test_case "stream factory called once" `Quick
+            test_factory_called_once;
+        ] );
       ( "allocation",
         [
           Alcotest.test_case "sharded steady-state frontier" `Slow

@@ -378,6 +378,87 @@ let test_window_merge () =
   let e = Stats.Window.merge ~capacity:2 [] in
   Alcotest.(check int) "empty merge" 0 (Stats.Window.length e)
 
+(* Sort-based nearest-rank reference: the smallest sample with at least
+   ceil(p/100 * n) samples <= it, read off a fully sorted copy. *)
+let nearest_rank_reference samples p =
+  let sorted = Array.of_list samples in
+  Array.sort Int.compare sorted;
+  let n = Array.length sorted in
+  let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
+  sorted.(max 1 (min n rank) - 1)
+
+(* The samples a window of capacity [cap] holds after being fed [xs]:
+   the last min(cap, length xs), oldest first. *)
+let live_samples cap xs =
+  let drop = max 0 (List.length xs - cap) in
+  List.filteri (fun i _ -> i >= drop) xs
+
+(* Latency-like samples: mostly a handful of repeated small values, plus
+   negatives, the extremes of the int range and arbitrary ints. *)
+let sample_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (5, int_range 0 3);
+        (2, int_range (-40) 40);
+        (1, oneofl [ min_int; max_int; min_int + 1; max_int - 1; 0 ]);
+        (1, int);
+      ])
+
+let rank_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return 0.0);
+        (1, return 100.0);
+        (1, oneofl [ 50.0; 99.0; 99.9 ]);
+        (3, float_range 0.0 100.0);
+      ])
+
+(* Windows fed some samples, each with its capacity (small capacities
+   roll the ring over), plus the merge capacity and the ranks asked. *)
+let windows_arb =
+  let open QCheck.Gen in
+  let window = pair (int_range 1 40) (list_size (int_range 0 90) sample_gen) in
+  QCheck.make
+    ~print:
+      QCheck.Print.(
+        triple
+          (list (pair int (list int)))
+          int
+          (array float))
+    (triple (list_size (int_range 1 4) window) (int_range 1 60)
+       (array_size (int_range 0 6) rank_gen))
+
+let prop_window_percentiles_match_reference =
+  qtest ~count:500 "Window.percentile(s) = sorted nearest-rank reference"
+    windows_arb (fun (specs, merge_cap, ps) ->
+      let agrees w live =
+        if live = [] then
+          match Stats.Window.percentiles w ps with
+          | _ -> false
+          | exception Invalid_argument _ -> true
+        else begin
+          let expected = Array.map (nearest_rank_reference live) ps in
+          Stats.Window.percentiles w ps = expected
+          && Array.for_all2 (fun p e -> Stats.Window.percentile w p = e) ps expected
+          && Stats.Window.percentile w 0.0 = nearest_rank_reference live 0.0
+          && Stats.Window.percentile w 100.0 = nearest_rank_reference live 100.0
+        end
+      in
+      let windows =
+        List.map
+          (fun (cap, xs) ->
+            let w = Stats.Window.create cap in
+            List.iter (Stats.Window.add w) xs;
+            (w, live_samples cap xs))
+          specs
+      in
+      let merged = Stats.Window.merge ~capacity:merge_cap (List.map fst windows) in
+      let merged_live = live_samples merge_cap (List.concat_map snd windows) in
+      List.for_all (fun (w, live) -> agrees w live) windows
+      && agrees merged merged_live)
+
 (* Merging k windows = feeding one window the concatenation of their
    live sample sequences (oldest-first), for any capacities. *)
 let prop_window_merge_is_concat =
@@ -515,6 +596,7 @@ let () =
           Alcotest.test_case "window edge cases" `Quick test_window_edge_cases;
           Alcotest.test_case "window merge" `Quick test_window_merge;
           prop_window_merge_is_concat;
+          prop_window_percentiles_match_reference;
         ] );
       ( "table",
         [
