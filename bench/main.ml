@@ -228,10 +228,11 @@ let online_tests =
             ~divergence_cap:400 probe_metric
             (Dtm_workload.Injection.source probe_spec)
             ~homes:probe_homes ~horizon:1_000));
-      (* The same 10^6-transaction workload through the sharded engine:
-         _s1 pays the bulk-synchronous driver at S = 1 (it delegates, so
-         it doubles as the delegation-overhead check) and _s4 runs four
-         shard cells on the domain pool.  _s4 / _s1 is the wall-clock
+      (* The same 10^6-transaction workload through the sharded entry
+         point: _s1 is the one-shard case of the same engine (no messages,
+         no rounds), so it checks that entry point's overhead against
+         steady_state_1m, and _s4 runs four shard cells on the domain
+         pool.  _s4 / _s1 is the wall-clock
          scaling claim; on hosts with fewer cores than shards the
          comparison is informational (compare.exe annotates it). *)
       Test.make ~name:"steady_state_1m_s1" (stage (fun () ->

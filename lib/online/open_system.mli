@@ -17,10 +17,14 @@
     sample.
 
     The engine holds only the active frontier — live transaction
-    records, per-object waiter lists (compacted lazily), and a circular
-    delivery calendar — so a 10^6–10^7-transaction run allocates O(1)
-    memory per transaction and never materializes the stream
-    (test/test_stability.ml enforces this with a [Gc] bound).
+    records, per-object intrusive waiter lists (a committing transaction
+    unlinks its entries at once), and a circular delivery calendar — so
+    a 10^6–10^7-transaction run allocates O(1) memory per transaction
+    and never materializes the stream (test/test_stability.ml enforces
+    this with a [Gc] bound).
+
+    It is the same engine that {!Sharded.run} partitions across shards:
+    [run] is its one-shard case, which posts no cross-shard message.
 
     Everything is deterministic: one seeded [Prng] (used only by
     [Random_grant]), deterministic tie-breaks everywhere else, commits
@@ -49,11 +53,6 @@ type report = {
   preemptions : int;
   verdict : verdict;
 }
-
-val latency_percentiles : Dtm_util.Stats.Window.t -> int array
-(** [[| p50; p99; p999 |]] of a commit-latency window, from one copy of
-    its samples: the report's three percentile fields, [-1] each when
-    the window is empty. *)
 
 val run :
   ?policy:Policy.t ->
@@ -97,3 +96,26 @@ val critical_rate :
     + iters probes total).  Degenerate answers: [(lo, lo)] when even
     [lo] is unstable, [(hi, hi)] when [hi] is still stable.  Requires
     [0 < lo < hi]. *)
+
+(**/**)
+
+val run_sharded :
+  who:string ->
+  policy:Policy.t ->
+  patience:int ->
+  latency_window:int ->
+  divergence_cap:int ->
+  probe:(step:int -> injected:int -> committed:int -> queue:int -> unit) option ->
+  on_commit:(id:int -> node:int -> step:int -> unit) option ->
+  pool:Dtm_util.Pool.t option ->
+  round_steps:int ->
+  shards:int ->
+  owner:int array ->
+  Dtm_graph.Metric.t ->
+  Stream.source ->
+  homes:int array ->
+  horizon:int ->
+  report
+(** The engine behind {!run} and {!Sharded.run}, with object [o] owned
+    by shard [owner.(o)]; [who] prefixes its [Invalid_argument]
+    messages.  Call those two instead. *)

@@ -29,10 +29,11 @@
     injected at the step a single engine pulling the same source would
     inject it.
 
-    [shards = 1] delegates to {!Open_system.run} and reproduces its
-    report exactly.  At every [S], [injected = committed + final_queue]
-    (conservation), and the verdict uses the same
-    middle-third/final-third backlog test. *)
+    There is one engine: {!Open_system.run} is its one-shard case, and
+    [shards = 1] runs exactly that case (no message is posted, and
+    [round_steps] and [pool] are unused), reproducing its report.  At
+    every [S], [injected = committed + final_queue] (conservation), and
+    the verdict uses the same middle-third/final-third backlog test. *)
 
 val shard_of : shards:int -> int -> int
 (** [shard_of ~shards oid] is the owning shard of object [oid], in

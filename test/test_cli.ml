@@ -148,6 +148,28 @@ let test_serve_subcommand () =
       check_contains out [ "verdict:"; "injected:"; "latency:"; "recoveries:" ])
     [ "uniform"; "zipf:1.1"; "hot:0.5" ]
 
+(* The one-shard serve transcript, byte for byte, against the expected
+   output committed next to this test (captured from the engine before
+   the open system and the sharded cell became one). *)
+let test_serve_transcript () =
+  List.iter
+    (fun policy ->
+      let expected =
+        In_channel.with_open_bin
+          (Printf.sprintf "serve_s1_%s.expected" policy)
+          In_channel.input_all
+      in
+      let code, out =
+        run
+          (Printf.sprintf
+             "%s serve -t grid:8x8 -w 32 -k 2 --rate 0.45 --dist zipf:1.0 \
+              --horizon 4000 --shards 1 --policy %s"
+             cli policy)
+      in
+      Alcotest.(check int) (policy ^ " exit 0") 0 code;
+      Alcotest.(check string) (policy ^ " transcript") expected out)
+    [ "greedy-cm"; "random" ]
+
 let test_serve_critical_flag () =
   let code, out =
     run
@@ -312,6 +334,7 @@ let () =
           Alcotest.test_case "missing graph file" `Quick test_custom_graph_missing_file;
           Alcotest.test_case "online subcommand" `Quick test_online_subcommand;
           Alcotest.test_case "serve subcommand" `Quick test_serve_subcommand;
+          Alcotest.test_case "serve transcript" `Quick test_serve_transcript;
           Alcotest.test_case "serve --critical" `Quick test_serve_critical_flag;
           Alcotest.test_case "serve bad dist" `Quick test_serve_bad_dist;
           Alcotest.test_case "capacity flag" `Quick test_capacity_flag;

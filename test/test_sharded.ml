@@ -1,8 +1,9 @@
 (* Property layer for the sharded open-system engine:
 
-     - shards = 1 reproduces the unsharded [Open_system] run exactly —
-       the full report and the commit sequence — on all seven paper
-       topologies and every policy,
+     - [Open_system.run] and [Sharded.run ~shards:1], two entry points
+       of the one frontier engine, agree exactly (the full report and
+       the commit sequence) on all seven paper topologies and every
+       policy,
      - at shards in {2, 4}, conservation (injected = committed + queue)
        holds at every merged step and a finite stream drains completely,
      - the committed prefix of a sharded run is a legal DTM execution:
@@ -10,9 +11,11 @@
      - a fixed (spec, shards) is byte-identical at -j1 and -j4: the
        pool size may change the interleaving of rounds across domains
        but never the result,
-     - full reports at shards in {2, 3, 4} under every policy, on an
-       injection source and on a non-monotone one, match golden values,
-       and the stream factory is called exactly once,
+     - full reports at shards in {1, 2, 3, 4} under every policy, on an
+       injection source and on a non-monotone one (also at patience 1),
+       match golden values, and the stream factory is called exactly
+       once.  The one-shard rows were captured while one shard ran a
+       separate implementation, so they pin the fold into one engine,
      - a 10^6-transaction steady-state run at shards = 4 stays on the
        frontier (live-heap bound) and allocates O(1) per transaction. *)
 
@@ -94,7 +97,7 @@ let report_pair r =
       r.Open_system.verdict ) )
 
 (* ------------------------------------------------------------------ *)
-(* S1: one shard IS the open system                                    *)
+(* S1: both entry points drive the same one-shard engine              *)
 (* ------------------------------------------------------------------ *)
 
 let prop_one_shard_matches_open_system =
@@ -325,7 +328,7 @@ let test_sharded_steady_state_allocation () =
         true (per_txn < 1_200.0))
 
 (* ------------------------------------------------------------------ *)
-(* Golden reports: S in {2, 3, 4} x every policy                       *)
+(* Golden reports: S in {1, 2, 3, 4} x every policy                    *)
 (* ------------------------------------------------------------------ *)
 
 let golden_policies =
@@ -428,7 +431,61 @@ let golden_jittered =
     (4, "randomized-backoff", "h=6016 inj=2000 com=2000 fq=0 pq=9 mq=0x1.92fa8d9df51b4p+1 p50=10 p99=27 p999=44 max=45 tr=15688 fg=72 pr=0 bounded", 143618474242902);
   ]
 
-let check_golden name ~make_source ~homes ~horizon expected =
+(* One shard, captured while it was still a separate implementation (the
+   open-system engine that the sharded cell now subsumes), so these rows
+   carry the cross-check between the two. *)
+let golden_injection_s1 =
+  [
+    (1, "timestamp", "h=20010 inj=3000 com=3000 fq=0 pq=4 mq=0x1.e110a842efa65p-1 p50=7 p99=17 p999=23 max=26 tr=23115 fg=0 pr=0 bounded", 255396591224433);
+    (1, "timestamp+preemption (Greedy CM)", "h=20010 inj=3000 com=3000 fq=0 pq=4 mq=0x1.e110a842efa65p-1 p50=7 p99=17 p999=23 max=26 tr=23115 fg=0 pr=0 bounded", 255396591224433);
+    (1, "nearest", "h=20009 inj=3000 com=3000 fq=0 pq=5 mq=0x1.cfd11f348536bp-1 p50=6 p99=19 p999=29 max=30 tr=22175 fg=14 pr=0 bounded", 74692974782686);
+    (1, "random", "h=20009 inj=3000 com=3000 fq=0 pq=9 mq=0x1.05aaf82ec697ap+0 p50=7 p99=28 p999=60 max=73 tr=23123 fg=29 pr=0 bounded", 235192782506830);
+    (1, "window-greedy", "h=20009 inj=3000 com=3000 fq=0 pq=4 mq=0x1.e1fc15c00deb9p-1 p50=7 p99=17 p999=21 max=25 tr=23125 fg=0 pr=0 bounded", 7596498259170);
+    (1, "randomized-backoff", "h=20010 inj=3000 com=3000 fq=0 pq=7 mq=0x1.02023353f39dap+0 p50=7 p99=25 p999=53 max=62 tr=23201 fg=34 pr=0 bounded", 129739437517299);
+  ]
+
+let golden_jittered_s1 =
+  [
+    (1, "timestamp", "h=6002 inj=2000 com=2000 fq=0 pq=5 mq=0x1.d16180e54cb07p+0 p50=7 p99=14 p999=18 max=22 tr=15654 fg=0 pr=0 bounded", 67740569332293);
+    (1, "timestamp+preemption (Greedy CM)", "h=6002 inj=2000 com=2000 fq=0 pq=5 mq=0x1.d14baa5a98037p+0 p50=7 p99=14 p999=18 max=22 tr=15654 fg=0 pr=2 bounded", 62754567786719);
+    (1, "nearest", "h=6002 inj=2000 com=2000 fq=0 pq=5 mq=0x1.cb323e9d21b21p+0 p50=7 p99=14 p999=19 max=19 tr=15524 fg=0 pr=0 bounded", 255247588704012);
+    (1, "random", "h=20000 inj=2000 com=1719 fq=281 pq=1059 mq=0x1.1e530f27bb2ffp+9 p50=1944 p99=14653 p999=14894 max=14911 tr=20318 fg=1788 pr=0 bounded", 39067860475130);
+    (1, "window-greedy", "h=6002 inj=2000 com=2000 fq=0 pq=5 mq=0x1.d3a436410098ep+0 p50=7 p99=15 p999=19 max=20 tr=15676 fg=0 pr=0 bounded", 270347690005036);
+    (1, "randomized-backoff", "h=20000 inj=2000 com=1724 fq=276 pq=1046 mq=0x1.1bbb67a0f9097p+9 p50=1705 p99=14636 p999=14888 max=14905 tr=20343 fg=1756 pr=0 bounded", 45457468070085);
+  ]
+
+(* Patience 1 fires the watchdog on a non-monotone source almost every
+   idle step: the setting where the multi-shard watchdog guards, applied
+   at one shard, would change the report. *)
+let golden_jittered_patience1 =
+  [
+    (1, "timestamp", "h=6002 inj=2000 com=2000 fq=0 pq=7 mq=0x1.d4f6b3a6f1125p+0 p50=7 p99=15 p999=27 max=30 tr=15684 fg=7 pr=0 bounded", 279882284907493);
+    (1, "timestamp+preemption (Greedy CM)", "h=6002 inj=2000 com=2000 fq=0 pq=7 mq=0x1.d4e0dd1c3c655p+0 p50=7 p99=15 p999=27 max=30 tr=15684 fg=7 pr=2 bounded", 274896283361919);
+    (1, "nearest", "h=6002 inj=2000 com=2000 fq=0 pq=6 mq=0x1.cc590eeda8d18p+0 p50=7 p99=15 p999=22 max=23 tr=15542 fg=6 pr=0 bounded", 196504497961643);
+    (1, "random", "h=6002 inj=2000 com=2000 fq=0 pq=7 mq=0x1.d543228c696fdp+0 p50=7 p99=15 p999=27 max=30 tr=15678 fg=6 pr=0 bounded", 39648182970018);
+    (1, "window-greedy", "h=6002 inj=2000 com=2000 fq=0 pq=6 mq=0x1.d5e6eb9cb4815p+0 p50=7 p99=16 p999=22 max=23 tr=15708 fg=8 pr=0 bounded", 267870130427265);
+    (1, "randomized-backoff", "h=6002 inj=2000 com=2000 fq=0 pq=6 mq=0x1.d2678f65c4cc6p+0 p50=7 p99=15 p999=22 max=23 tr=15651 fg=6 pr=0 bounded", 126005052960343);
+    (2, "timestamp", "h=6016 inj=2000 com=2000 fq=0 pq=8 mq=0x1.58cefa8d9df52p+1 p50=9 p99=23 p999=29 max=38 tr=15682 fg=236 pr=0 bounded", 100461683607586);
+    (2, "timestamp+preemption (Greedy CM)", "h=6016 inj=2000 com=2000 fq=0 pq=7 mq=0x1.57d9df51b3beap+1 p50=9 p99=22 p999=27 max=28 tr=15698 fg=233 pr=12 bounded", 61612083861581);
+    (2, "nearest", "h=6016 inj=2000 com=2000 fq=0 pq=8 mq=0x1.572620ae4c416p+1 p50=9 p99=24 p999=36 max=40 tr=15586 fg=252 pr=0 bounded", 90837087548916);
+    (2, "random", "h=6016 inj=2000 com=2000 fq=0 pq=7 mq=0x1.5820ae4c415cap+1 p50=9 p99=23 p999=35 max=43 tr=15702 fg=247 pr=0 bounded", 187670443903060);
+    (2, "window-greedy", "h=6016 inj=2000 com=2000 fq=0 pq=8 mq=0x1.58fa8d9df51b4p+1 p50=9 p99=23 p999=31 max=38 tr=15728 fg=243 pr=0 bounded", 148873375771732);
+    (2, "randomized-backoff", "h=6016 inj=2000 com=2000 fq=0 pq=7 mq=0x1.5bc415c9882b9p+1 p50=9 p99=25 p999=43 max=49 tr=15710 fg=246 pr=0 bounded", 67066827048877);
+    (3, "timestamp", "h=6012 inj=2000 com=2000 fq=0 pq=9 mq=0x1.78973fdf4c22cp+1 p50=10 p99=24 p999=32 max=36 tr=15682 fg=427 pr=0 bounded", 133066887549910);
+    (3, "timestamp+preemption (Greedy CM)", "h=6012 inj=2000 com=2000 fq=0 pq=9 mq=0x1.796bd0fd71f2bp+1 p50=10 p99=24 p999=32 max=36 tr=15716 fg=412 pr=23 bounded", 93790480144373);
+    (3, "nearest", "h=6012 inj=2000 com=2000 fq=0 pq=8 mq=0x1.7670c17d87bffp+1 p50=10 p99=24 p999=35 max=37 tr=15588 fg=446 pr=0 bounded", 37628237252163);
+    (3, "random", "h=6012 inj=2000 com=2000 fq=0 pq=8 mq=0x1.7a716fe7791a1p+1 p50=10 p99=27 p999=40 max=48 tr=15722 fg=441 pr=0 bounded", 4924337984193);
+    (3, "window-greedy", "h=6012 inj=2000 com=2000 fq=0 pq=8 mq=0x1.7791a0f544fb6p+1 p50=10 p99=24 p999=29 max=30 tr=15712 fg=434 pr=0 bounded", 187826097318496);
+    (3, "randomized-backoff", "h=6012 inj=2000 com=2000 fq=0 pq=8 mq=0x1.7a2a94dd6c7f6p+1 p50=10 p99=27 p999=37 max=40 tr=15694 fg=434 pr=0 bounded", 142247429807740);
+    (4, "timestamp", "h=6016 inj=2000 com=2000 fq=0 pq=8 mq=0x1.8fe4c415c9883p+1 p50=10 p99=25 p999=38 max=39 tr=15695 fg=557 pr=0 bounded", 25156647315549);
+    (4, "timestamp+preemption (Greedy CM)", "h=6016 inj=2000 com=2000 fq=0 pq=9 mq=0x1.914c415c9882cp+1 p50=10 p99=25 p999=36 max=41 tr=15750 fg=534 pr=23 bounded", 126807947340187);
+    (4, "nearest", "h=6016 inj=2000 com=2000 fq=0 pq=8 mq=0x1.90a8d9df51b3cp+1 p50=10 p99=27 p999=41 max=47 tr=15655 fg=575 pr=0 bounded", 195491366820427);
+    (4, "random", "h=6016 inj=2000 com=2000 fq=0 pq=10 mq=0x1.9eefa8d9df51bp+1 p50=10 p99=33 p999=64 max=65 tr=15803 fg=574 pr=0 bounded", 1919117205490);
+    (4, "window-greedy", "h=6016 inj=2000 com=2000 fq=0 pq=8 mq=0x1.927d46cefa8dap+1 p50=10 p99=27 p999=41 max=47 tr=15749 fg=574 pr=0 bounded", 176613370810329);
+    (4, "randomized-backoff", "h=6016 inj=2000 com=2000 fq=0 pq=8 mq=0x1.97415c9882b93p+1 p50=10 p99=30 p999=41 max=47 tr=15747 fg=579 pr=0 bounded", 101616624526445);
+  ]
+
+let check_golden ?(patience = 8) name ~make_source ~homes ~horizon expected =
   List.iter
     (fun (shards, pname, report, digest) ->
       let policy =
@@ -436,7 +493,7 @@ let check_golden name ~make_source ~homes ~horizon expected =
       in
       let label = Printf.sprintf "%s S=%d %s" name shards pname in
       let run ?on_commit () =
-        Sharded.run ~policy ~patience:8 ?on_commit ~shards golden_metric
+        Sharded.run ~policy ~patience ?on_commit ~shards golden_metric
           make_source ~homes ~horizon
       in
       Alcotest.(check string) label report (render (run ()));
@@ -449,15 +506,15 @@ let check_golden name ~make_source ~homes ~horizon expected =
       Alcotest.(check int) (label ^ " commit digest") digest !d)
     expected
 
-let test_golden_injection () =
+let golden_injection_case rows () =
   check_golden "injection"
     ~make_source:(Injection.source_factory ~limit:3000 golden_spec)
-    ~homes:(Injection.homes golden_spec) ~horizon:30_000 golden_injection
+    ~homes:(Injection.homes golden_spec) ~horizon:30_000 rows
 
-let test_golden_jittered () =
-  check_golden "jittered" ~make_source:jittered
+let golden_jittered_case ?patience name rows () =
+  check_golden ?patience name ~make_source:jittered
     ~homes:(Array.init 32 (fun o -> o * 7 mod 36))
-    ~horizon:20_000 golden_jittered
+    ~horizon:20_000 rows
 
 (* The stream is drawn once per run, at any shard count. *)
 let test_factory_called_once () =
@@ -488,9 +545,16 @@ let () =
       ( "golden",
         [
           Alcotest.test_case "injection source, S=2..4, every policy" `Quick
-            test_golden_injection;
+            (golden_injection_case golden_injection);
           Alcotest.test_case "non-monotone source, S=2..4, every policy" `Quick
-            test_golden_jittered;
+            (golden_jittered_case "jittered" golden_jittered);
+          Alcotest.test_case "injection source, S=1, every policy" `Quick
+            (golden_injection_case golden_injection_s1);
+          Alcotest.test_case "non-monotone source, S=1, every policy" `Quick
+            (golden_jittered_case "jittered" golden_jittered_s1);
+          Alcotest.test_case "non-monotone source, patience 1, S=1..4" `Quick
+            (golden_jittered_case ~patience:1 "jittered patience 1"
+               golden_jittered_patience1);
           Alcotest.test_case "stream factory called once" `Quick
             test_factory_called_once;
         ] );
