@@ -43,11 +43,27 @@ let topo_arg =
            hypercube:6, butterfly:4, cluster:5x6:g12, star:8x7, blockgrid:9, \
            blocktree:9, powerlaw:100000x3:s42.")
 
+(* Range-checked numbers: a value the engines would reject is a usage
+   error (exit 124) at parse time, not an uncaught exception later. *)
+let bounded conv ~expect ok =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expect))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let int_at_least lo =
+  bounded Arg.int ~expect:(Printf.sprintf "an integer >= %d" lo) (fun v -> v >= lo)
+
+let positive_float = bounded Arg.float ~expect:"a number > 0" (fun v -> v > 0.0)
+
 let objects_arg =
-  Arg.(value & opt int 16 & info [ "w"; "objects" ] ~docv:"W" ~doc:"Number of shared objects.")
+  Arg.(value & opt (int_at_least 1) 16 & info [ "w"; "objects" ] ~docv:"W" ~doc:"Number of shared objects.")
 
 let k_arg =
-  Arg.(value & opt int 2 & info [ "k" ] ~docv:"K" ~doc:"Objects requested per transaction.")
+  Arg.(value & opt (int_at_least 1) 2 & info [ "k" ] ~docv:"K" ~doc:"Objects requested per transaction.")
 
 let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
@@ -68,6 +84,34 @@ let apply_jobs = function
   | Some j ->
     Printf.eprintf "invalid -j value %d (need an integer >= 1)\n" j;
     exit 124
+
+let policy_conv =
+  Arg.enum
+    [
+      ("timestamp", Dtm_online.Policy.Timestamp { preemption = false });
+      ("greedy-cm", Dtm_online.Policy.Timestamp { preemption = true });
+      ("nearest", Dtm_online.Policy.Nearest);
+      ("random", Dtm_online.Policy.Random_grant 1);
+      ("window-greedy", Dtm_online.Policy.Window_greedy { window = 16; seed = 1 });
+      ("backoff", Dtm_online.Policy.Backoff { seed = 1; limit = 8 });
+    ]
+
+let dist_conv =
+  let module I = Dtm_workload.Injection in
+  let parse s =
+    match String.split_on_char ':' s with
+    | [ "uniform" ] -> Ok I.Uniform_objects
+    | [ "zipf"; e ] -> (
+      match float_of_string_opt e with
+      | Some e when e >= 0.0 -> Ok (I.Zipf_objects e)
+      | _ -> Error (`Msg "zipf wants a non-negative exponent, e.g. zipf:1.1"))
+    | [ "hot"; p ] -> (
+      match float_of_string_opt p with
+      | Some p when p >= 0.0 && p <= 1.0 -> Ok (I.Hot_objects p)
+      | _ -> Error (`Msg "hot wants a probability, e.g. hot:0.8"))
+    | _ -> Error (`Msg "expected uniform, zipf:EXPONENT, or hot:PROB")
+  in
+  Arg.conv (parse, fun ppf d -> Format.pp_print_string ppf (I.dist_to_string d))
 
 let workload_arg =
   Arg.(
@@ -141,7 +185,7 @@ let make_instance topo ~w ~k ~seed ~workload =
 let capacity_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some (int_at_least 1)) None
     & info [ "capacity" ] ~docv:"C"
         ~doc:
           "Also execute the schedule's visit orders under a per-edge \
@@ -314,23 +358,12 @@ let online_cmd =
       r.Dtm_online.Runner.forced_grants r.Dtm_online.Runner.preemptions
   in
   let txns_arg =
-    Arg.(value & opt int 4 & info [ "txns-per-node" ] ~docv:"T" ~doc:"Transactions issued per node.")
+    Arg.(value & opt (int_at_least 0) 4 & info [ "txns-per-node" ] ~docv:"T" ~doc:"Transactions issued per node.")
   in
   let gap_arg =
-    Arg.(value & opt int 3 & info [ "mean-gap" ] ~docv:"G" ~doc:"Mean inter-arrival gap per node.")
+    Arg.(value & opt (int_at_least 1) 3 & info [ "mean-gap" ] ~docv:"G" ~doc:"Mean inter-arrival gap per node.")
   in
   let policy_arg =
-    let policy_conv =
-      Arg.enum
-        [
-          ("timestamp", Dtm_online.Policy.Timestamp { preemption = false });
-          ("greedy-cm", Dtm_online.Policy.Timestamp { preemption = true });
-          ("nearest", Dtm_online.Policy.Nearest);
-          ("random", Dtm_online.Policy.Random_grant 1);
-          ("window-greedy", Dtm_online.Policy.Window_greedy { window = 16; seed = 1 });
-          ("backoff", Dtm_online.Policy.Backoff { seed = 1; limit = 8 });
-        ]
-    in
     Arg.(
       value
       & opt policy_conv (Dtm_online.Policy.Timestamp { preemption = true })
@@ -350,10 +383,6 @@ let serve_cmd =
   let run topo w k seed rate burst dist policy horizon patience critical shards
       jobs =
     apply_jobs jobs;
-    if shards < 1 then begin
-      prerr_endline "dtm serve: --shards must be >= 1";
-      exit 124
-    end;
     let n = Topology.n topo in
     let metric = Topology.metric topo in
     let spec =
@@ -397,52 +426,24 @@ let serve_cmd =
   let rate_arg =
     Arg.(
       value
-      & opt float 0.3
+      & opt positive_float 0.3
       & info [ "rate" ] ~docv:"RHO" ~doc:"Injection rate (transactions per step).")
   in
   let burst_arg =
     Arg.(
       value
-      & opt int 1
+      & opt (int_at_least 1) 1
       & info [ "burst" ] ~docv:"B"
           ~doc:"Token-bucket burstiness: arrivals clump into batches of ~B.")
   in
   let dist_arg =
-    let parse s =
-      match String.split_on_char ':' s with
-      | [ "uniform" ] -> Ok Dtm_workload.Injection.Uniform_objects
-      | [ "zipf"; e ] -> (
-        match float_of_string_opt e with
-        | Some e when e >= 0.0 -> Ok (Dtm_workload.Injection.Zipf_objects e)
-        | _ -> Error (`Msg "zipf wants a non-negative exponent, e.g. zipf:1.1"))
-      | [ "hot"; p ] -> (
-        match float_of_string_opt p with
-        | Some p when p >= 0.0 && p <= 1.0 ->
-          Ok (Dtm_workload.Injection.Hot_objects p)
-        | _ -> Error (`Msg "hot wants a probability, e.g. hot:0.8"))
-      | _ -> Error (`Msg "expected uniform, zipf:EXPONENT, or hot:PROB")
-    in
-    let print ppf d =
-      Format.pp_print_string ppf (Dtm_workload.Injection.dist_to_string d)
-    in
     Arg.(
       value
-      & opt (conv (parse, print)) Dtm_workload.Injection.Uniform_objects
+      & opt dist_conv Dtm_workload.Injection.Uniform_objects
       & info [ "dist" ] ~docv:"DIST"
           ~doc:"Object popularity: uniform, zipf:EXPONENT, or hot:PROB.")
   in
   let policy_arg =
-    let policy_conv =
-      Arg.enum
-        [
-          ("timestamp", Dtm_online.Policy.Timestamp { preemption = false });
-          ("greedy-cm", Dtm_online.Policy.Timestamp { preemption = true });
-          ("nearest", Dtm_online.Policy.Nearest);
-          ("random", Dtm_online.Policy.Random_grant 1);
-          ("window-greedy", Dtm_online.Policy.Window_greedy { window = 16; seed = 1 });
-          ("backoff", Dtm_online.Policy.Backoff { seed = 1; limit = 8 });
-        ]
-    in
     Arg.(
       value
       & opt policy_conv (Dtm_online.Policy.Timestamp { preemption = true })
@@ -454,13 +455,13 @@ let serve_cmd =
   let horizon_arg =
     Arg.(
       value
-      & opt int 20_000
+      & opt (int_at_least 1) 20_000
       & info [ "horizon" ] ~docv:"STEPS" ~doc:"Steps to simulate.")
   in
   let patience_arg =
     Arg.(
       value
-      & opt int 50
+      & opt (int_at_least 1) 50
       & info [ "patience" ] ~docv:"STEPS"
           ~doc:"Idle steps before the deadlock watchdog intervenes.")
   in
@@ -473,7 +474,7 @@ let serve_cmd =
   let shards_arg =
     Arg.(
       value
-      & opt int 1
+      & opt (int_at_least 1) 1
       & info [ "shards" ] ~docv:"S"
           ~doc:
             "Partition objects across S shards advanced in bulk-synchronous \
@@ -753,7 +754,7 @@ let verify_cmd =
   in
   let verify_capacity_arg =
     Arg.(
-      value & opt int 1
+      value & opt (int_at_least 1) 1
       & info [ "capacity" ] ~docv:"C"
           ~doc:"Per-edge admission bound used by the congestion pass.")
   in
@@ -855,33 +856,19 @@ let stm_cmd =
   let rate_arg =
     Arg.(
       value
-      & opt float 0.5
+      & opt positive_float 0.5
       & info [ "rate" ] ~docv:"RHO" ~doc:"Injection rate (transactions per step).")
   in
   let burst_arg =
     Arg.(
       value
-      & opt int 1
+      & opt (int_at_least 1) 1
       & info [ "burst" ] ~docv:"B" ~doc:"Token-bucket burstiness.")
   in
   let dist_arg =
-    let parse s =
-      match String.split_on_char ':' s with
-      | [ "uniform" ] -> Ok I.Uniform_objects
-      | [ "zipf"; e ] -> (
-        match float_of_string_opt e with
-        | Some e when e >= 0.0 -> Ok (I.Zipf_objects e)
-        | _ -> Error (`Msg "zipf wants a non-negative exponent, e.g. zipf:1.1"))
-      | [ "hot"; p ] -> (
-        match float_of_string_opt p with
-        | Some p when p >= 0.0 && p <= 1.0 -> Ok (I.Hot_objects p)
-        | _ -> Error (`Msg "hot wants a probability, e.g. hot:0.8"))
-      | _ -> Error (`Msg "expected uniform, zipf:EXPONENT, or hot:PROB")
-    in
-    let print ppf d = Format.pp_print_string ppf (I.dist_to_string d) in
     Arg.(
       value
-      & opt (conv (parse, print)) I.Uniform_objects
+      & opt dist_conv I.Uniform_objects
       & info [ "dist" ] ~docv:"DIST"
           ~doc:"Object popularity: uniform, zipf:EXPONENT, or hot:PROB.")
   in
@@ -894,7 +881,7 @@ let stm_cmd =
   let domains_arg =
     Arg.(
       value
-      & opt (list int) [ 1; 4 ]
+      & opt (list (int_at_least 1)) [ 1; 4 ]
       & info [ "domains" ] ~docv:"D,D,..."
           ~doc:"Domain counts for the scaling curve (first is the baseline \
                 and runs the correlation rows).")
@@ -916,17 +903,6 @@ let stm_cmd =
                 nanoseconds.")
   in
   let policies_arg =
-    let policy_conv =
-      Arg.enum
-        [
-          ("timestamp", Dtm_online.Policy.Timestamp { preemption = false });
-          ("greedy-cm", Dtm_online.Policy.Timestamp { preemption = true });
-          ("nearest", Dtm_online.Policy.Nearest);
-          ("random", Dtm_online.Policy.Random_grant 1);
-          ("window-greedy", Dtm_online.Policy.Window_greedy { window = 16; seed = 1 });
-          ("backoff", Dtm_online.Policy.Backoff { seed = 1; limit = 8 });
-        ]
-    in
     Arg.(
       value
       & opt (list policy_conv)

@@ -1,9 +1,9 @@
 (** DTM11x: lints over step-level execution traces.
 
     The static lints check what a schedule {e claims}; these check what
-    an engine {e did}.  Any {!Dtm_sim.Trace.t} — from {!Dtm_sim.Replay},
-    {!Dtm_sim.Congestion}, or the metric-routed {!Dtm_sim.Walker} — can
-    be audited against the instance and the commit times it was produced
+    an engine {e did}.  Any {!Dtm_sim.Trace.t} — from {!Dtm_sim.Replay}
+    (router- or metric-routed) or {!Dtm_sim.Congestion} — can be
+    audited against the instance and the commit times it was produced
     under:
 
     - DTM110 [trace-teleport]: every object's events form a connected
@@ -13,7 +13,7 @@
       graph and takes exactly its weight;
     - DTM112 [trace-capacity-exceeded]: at most [capacity] departures
       per undirected edge per step (only when [capacity] is given —
-      [Replay]/[Walker] traces are deliberately unbounded);
+      [Replay] traces are deliberately unbounded);
     - DTM113 [trace-premature-commit]: when a transaction executes,
       every object it requests is present at its node (same-step
       arrivals count: the chronological order sorts arrive < execute <
@@ -41,4 +41,4 @@ val check :
     chronological order of the offending event within each pass, passes
     in DTM code order.  [metric] must be [graph]'s shortest-path metric;
     [commits] are the execution steps the trace was produced under (the
-    schedule for [Replay]/[Walker], [commit_times] for [Congestion]). *)
+    schedule for [Replay], [commit_times] for [Congestion]). *)

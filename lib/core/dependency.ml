@@ -46,38 +46,17 @@ let radix_sort keys m =
     if !src != keys then Array.blit !src 0 keys 0 m
   end
 
-(* Conflict edges are discovered as requester pairs, one per object they
-   share.  Instead of hashing boxed (u, v) tuples, each pair is encoded
-   as the canonical int key [min u v * n + max u v] — canonicalization
-   makes the dedup robust to the orientation a pair arrives in, so a
-   shared pair can never double an edge — and the whole batch is
-   deduplicated by one radix sort over a flat int array.  Distances are
-   looked up once per unique edge, and adjacency arrays are preallocated
-   from exact degree counts. *)
-let build metric inst =
-  let n = Instance.n inst in
-  let num_objects = Instance.num_objects inst in
-  let total = ref 0 in
-  for o = 0 to num_objects - 1 do
-    let len = Array.length (Instance.requesters inst o) in
-    total := !total + (len * (len - 1) / 2)
-  done;
-  let keys = Array.make (max 1 !total) 0 in
-  let idx = ref 0 in
-  for o = 0 to num_objects - 1 do
-    let reqs = Instance.requesters inst o in
-    let len = Array.length reqs in
-    for i = 0 to len - 1 do
-      let u = Array.unsafe_get reqs i in
-      for j = i + 1 to len - 1 do
-        let v = Array.unsafe_get reqs j in
-        let key = if u < v then (u * n) + v else (v * n) + u in
-        Array.unsafe_set keys !idx key;
-        incr idx
-      done
-    done
-  done;
-  let m = !total in
+(* Conflict edges are discovered as node pairs.  Instead of hashing
+   boxed (u, v) tuples, each pair is encoded as the canonical int key
+   [min u v * n + max u v] — canonicalization makes the dedup robust to
+   the orientation a pair arrives in, so a shared pair can never double
+   an edge — and the whole batch is deduplicated by one radix sort over
+   a flat int array.  Distances are looked up once per unique edge, and
+   adjacency arrays are preallocated from exact degree counts.  [of_keys]
+   builds H from the first [m] keys of [keys] (reordered in place). *)
+let key ~n u v = if u < v then (u * n) + v else (v * n) + u
+
+let of_keys metric n keys m =
   radix_sort keys m;
   let deg = Array.make (max 1 n) 0 in
   let uniq = ref 0 in
@@ -101,9 +80,10 @@ let build metric inst =
     let key = keys.(i) in
     let u = key / n and v = key mod n in
     let w =
-      (* Requesters are validated by Instance, so when the metric covers
-         the instance the bounds check is redundant; fall back to the
-         checked lookup (and its exception) on undersized metrics. *)
+      (* Nodes are validated (by Instance or [of_pairs]), so when the
+         metric covers the instance the bounds check is redundant; fall
+         back to the checked lookup (and its exception) on undersized
+         metrics. *)
       if in_range then Dtm_graph.Metric.unsafe_dist metric u v else Dtm_graph.Metric.dist metric u v
     in
     if w > !hmax then hmax := w;
@@ -116,6 +96,44 @@ let build metric inst =
     Array.fold_left (fun acc a -> max acc (Array.length a)) 0 conflicts
   in
   { conflicts; hmax = !hmax; max_degree; num_conflicts = !uniq }
+
+(* One key per requester pair of every object: a pair sharing several
+   objects appears once per object and the dedup folds it. *)
+let build metric inst =
+  let n = Instance.n inst in
+  let num_objects = Instance.num_objects inst in
+  let total = ref 0 in
+  for o = 0 to num_objects - 1 do
+    let len = Array.length (Instance.requesters inst o) in
+    total := !total + (len * (len - 1) / 2)
+  done;
+  let keys = Array.make (max 1 !total) 0 in
+  let idx = ref 0 in
+  for o = 0 to num_objects - 1 do
+    let reqs = Instance.requesters inst o in
+    let len = Array.length reqs in
+    for i = 0 to len - 1 do
+      let u = Array.unsafe_get reqs i in
+      for j = i + 1 to len - 1 do
+        Array.unsafe_set keys !idx (key ~n u (Array.unsafe_get reqs j));
+        incr idx
+      done
+    done
+  done;
+  of_keys metric n keys !total
+
+let of_pairs metric inst pairs =
+  let n = Instance.n inst in
+  let keys =
+    Array.of_list
+      (List.map
+         (fun (u, v) ->
+           if u = v || u < 0 || v < 0 || u >= n || v >= n then
+             invalid_arg "Dependency.of_pairs: pair out of range";
+           key ~n u v)
+         pairs)
+  in
+  of_keys metric n keys (Array.length keys)
 
 let conflicts t v =
   if v < 0 || v >= Array.length t.conflicts then

@@ -8,6 +8,13 @@ type t
 
 val build : Dtm_graph.Metric.t -> Instance.t -> t
 
+val of_pairs : Dtm_graph.Metric.t -> Instance.t -> (int * int) list -> t
+(** [of_pairs metric inst pairs] is H with exactly the given conflict
+    edges, in either orientation and possibly repeated — for conflict
+    relations other than "shares an object", such as read replication's
+    write-aware pairs.  Raises [Invalid_argument] on a pair [(v, v)] or
+    a node outside [inst]. *)
+
 val conflicts : t -> int -> (int * int) array
 (** [conflicts t v] is the array of [(neighbor, weight)] conflicts of the
     transaction at node [v] (empty if none or no transaction).  Do not

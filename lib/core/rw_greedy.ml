@@ -1,82 +1,24 @@
-(* A lightweight variant of Dependency/Greedy with write-aware edges. *)
-
 let conflict_pairs rw =
   let inst = Rw_instance.base rw in
-  let seen = Hashtbl.create 256 in
   let out = ref [] in
   for o = 0 to Instance.num_objects inst - 1 do
     let writers = Rw_instance.writers rw o in
-    let readers = Rw_instance.readers rw o in
-    let add u v =
-      let u, v = if u < v then (u, v) else (v, u) in
-      if u <> v && not (Hashtbl.mem seen (u, v)) then begin
-        Hashtbl.replace seen (u, v) ();
-        out := (u, v) :: !out
-      end
-    in
+    let add u v = if u <> v then out := (min u v, max u v) :: !out in
     Array.iteri
       (fun i u ->
         for j = i + 1 to Array.length writers - 1 do
           add u writers.(j)
         done;
-        Array.iter (fun r -> add u r) readers)
+        Array.iter (add u) (Rw_instance.readers rw o))
       writers
   done;
-  List.rev !out
+  List.sort_uniq compare !out
 
 let schedule ?strategy ?order metric rw =
   let inst = Rw_instance.base rw in
   let n = Instance.n inst in
-  (* Adjacency with distances, from the write-aware pairs. *)
-  let adj = Array.make n [] in
-  let hmax = ref 0 in
-  List.iter
-    (fun (u, v) ->
-      let d = Dtm_graph.Metric.dist metric u v in
-      adj.(u) <- (v, d) :: adj.(u);
-      adj.(v) <- (u, d) :: adj.(v);
-      if d > !hmax then hmax := d)
-    (conflict_pairs rw);
-  let nodes = Instance.txn_nodes inst in
-  let order_nodes =
-    match order with
-    | None | Some Coloring.Natural -> Array.copy nodes
-    | Some Coloring.Desc_degree ->
-      let arr = Array.copy nodes in
-      let lst = Array.to_list arr in
-      let sorted =
-        List.stable_sort
-          (fun a b -> compare (List.length adj.(b)) (List.length adj.(a)))
-          lst
-      in
-      Array.of_list sorted
-    | Some (Coloring.Random_order seed) ->
-      let rng = Dtm_util.Prng.create ~seed in
-      Dtm_util.Prng.shuffled_copy rng nodes
-  in
-  let colors = Array.make n 0 in
-  let slotted = strategy = Some Coloring.Slotted in
-  Array.iter
-    (fun v ->
-      let constraints =
-        List.filter_map
-          (fun (u, w) -> if colors.(u) <> 0 then Some (colors.(u), w) else None)
-          adj.(v)
-      in
-      let ok c = List.for_all (fun (cv, w) -> abs (c - cv) >= w) constraints in
-      let c =
-        if slotted then begin
-          let step = max 1 !hmax in
-          let rec go j = if ok ((j * step) + 1) then (j * step) + 1 else go (j + 1) in
-          go 0
-        end
-        else begin
-          let rec go c = if ok c then c else go (c + 1) in
-          go 1
-        end
-      in
-      colors.(v) <- c)
-    order_nodes;
+  let dep = Dependency.of_pairs metric inst (conflict_pairs rw) in
+  let colors = (Coloring.greedy ?strategy ?order dep inst).Coloring.colors in
   (* Shift so home-sourced copies arrive in time: first writers, and
      readers that precede every writer of their object. *)
   let shift = ref 0 in
@@ -102,5 +44,5 @@ let schedule ?strategy ?order metric rw =
   let sched = Schedule.create ~n in
   Array.iter
     (fun v -> Schedule.set sched ~node:v ~time:(colors.(v) + !shift))
-    nodes;
+    (Instance.txn_nodes inst);
   sched

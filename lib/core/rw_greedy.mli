@@ -1,13 +1,15 @@
 (** The basic greedy schedule under read replication.
 
-    Identical to {!Greedy}, except that the dependency graph only has an
-    edge when at least one of the two transactions {e writes} a shared
-    object: read-read pairs do not conflict, so read-mostly workloads
-    color with far fewer colors.  The W-R / R-W edges guarantee each
-    reader sits at distance-respecting offset from every writer, which is
-    exactly what {!Rw_validator}'s copy-shipping rule needs; a final
-    shift gives home-sourced copies (first writers, and readers with no
-    earlier writer) time to arrive. *)
+    {!Greedy}'s pipeline on a thinner conflict relation: the dependency
+    graph, built by {!Dependency.of_pairs} from {!conflict_pairs}, has an
+    edge only when at least one of the two transactions {e writes} a
+    shared object.  Read-read pairs do not conflict, so read-mostly
+    workloads color with far fewer colors.  {!Coloring.greedy} then
+    places each reader at a distance-respecting offset from every
+    writer, which is exactly what {!Rw_validator}'s copy-shipping rule
+    needs.  Only the final shift is specific to replication: it gives
+    home-sourced copies (first writers, and readers that precede every
+    writer of their object) time to arrive. *)
 
 val schedule :
   ?strategy:Coloring.strategy ->
@@ -17,4 +19,5 @@ val schedule :
   Schedule.t
 
 val conflict_pairs : Rw_instance.t -> (int * int) list
-(** The conflicting transaction pairs (u < v), for tests and reporting. *)
+(** The conflicting transaction pairs [(u, v)] with [u < v], ascending
+    and without repeats, for tests and reporting. *)

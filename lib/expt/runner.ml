@@ -27,10 +27,10 @@ let measure ?jobs ?audit metric inst sched =
     match audit with
     | None -> true
     | Some { graph } ->
-      let w = Dtm_sim.Walker.run graph metric inst sched in
-      w.Dtm_sim.Walker.ok
+      let w = Dtm_sim.Replay.walk graph metric inst sched in
+      w.Dtm_sim.Replay.ok
       && Dtm_analysis.Trace_lint.check ~graph ~metric inst ~commits:sched
-           w.Dtm_sim.Walker.trace
+           w.Dtm_sim.Replay.trace
          = []
   in
   {

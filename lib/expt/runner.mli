@@ -14,7 +14,7 @@ type measurement = {
 type audit = { graph : Dtm_graph.Graph.t }
 (** The explicit carrier graph, enabling the trace-audit gate: with it,
     {!measure} expands the schedule into a hop-by-hop trace with
-    {!Dtm_sim.Walker} (metric-routed — no Dijkstra, so auditing a
+    {!Dtm_sim.Replay.walk} (metric-routed — no Dijkstra, so auditing a
     4096-node sweep row is cheap) and runs the DTM11x trace lints on the
     result. *)
 

@@ -246,11 +246,12 @@ let run ?(policy = Policy.Timestamp { preemption = false }) ?(patience = 50)
     end
   done;
   let resp = Array.of_list !responses in
+  let summary f = if Array.length resp = 0 then 0.0 else f resp in
   {
     makespan = !makespan;
     completed = !completed;
-    mean_response = Dtm_util.Stats.mean resp;
-    p95_response = Dtm_util.Stats.percentile resp 95.0;
+    mean_response = summary Dtm_util.Stats.mean;
+    p95_response = summary (fun r -> Dtm_util.Stats.percentile r 95.0);
     total_travel = !travel;
     forced_grants = !forced;
     preemptions = !preempted;

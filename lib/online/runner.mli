@@ -41,5 +41,6 @@ val run :
   stats
 (** [run m stream ~homes] executes the whole stream; default policy
     [Timestamp { preemption = false }], default [patience] 50 idle steps
-    before deadlock recovery.  Raises [Failure] if the run exceeds an
-    internal step cap (indicative of a bug, not expected). *)
+    before deadlock recovery.  An empty stream yields an all-zero
+    report.  Raises [Failure] if the run exceeds an internal step cap
+    (indicative of a bug, not expected). *)

@@ -163,20 +163,6 @@ let get t i =
 let events t = List.init t.count (get t)
 let length t = t.count
 
-let executions t =
-  let out = ref [] in
-  for i = t.count - 1 downto 0 do
-    if t.phase.(i) = 1 then out := (t.node.(i), t.time.(i)) :: !out
-  done;
-  !out
-
-let object_history t o =
-  let out = ref [] in
-  for i = t.count - 1 downto 0 do
-    if t.phase.(i) <> 1 && t.obj.(i) = o then out := get t i :: !out
-  done;
-  !out
-
 let check_single_copy t ~initial_pos =
   let pos = Array.copy initial_pos in
   (* None in [in_flight] means at [pos]; Some dest means travelling. *)
@@ -215,10 +201,5 @@ let check_executes_once t =
     end
   done;
   match !err with None -> Ok () | Some e -> Error e
-
-let pp fmt t =
-  for i = 0 to t.count - 1 do
-    Format.fprintf fmt "%a@." Event.pp (get t i)
-  done
 
 let raw t = (t.count, t.time, t.phase, t.obj, t.node, t.dest)

@@ -19,12 +19,6 @@ val events : t -> Event.t list
 
 val length : t -> int
 
-val executions : t -> (int * int) list
-(** [(node, time)] of every [Execute] event, chronological. *)
-
-val object_history : t -> int -> Event.t list
-(** All events touching a given object. *)
-
 val check_single_copy : t -> initial_pos:int array -> (unit, string) result
 (** Every object departs only from the node where it currently is, and
     arrives where it was headed: the single-copy invariant of the
@@ -32,8 +26,6 @@ val check_single_copy : t -> initial_pos:int array -> (unit, string) result
 
 val check_executes_once : t -> (unit, string) result
 (** No node commits twice. *)
-
-val pp : Format.formatter -> t -> unit
 
 (**/**)
 

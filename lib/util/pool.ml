@@ -126,25 +126,6 @@ let map pool f xs =
     Array.to_list
       (Array.map (function Some (Ok v) -> v | _ -> assert false) out)
 
-(* Bulk-synchronous supersteps: every round maps [step ~round] over the
-   worker indices and the [map] join is the barrier — its mutex hand-off
-   publishes all of round r's writes (e.g. per-pair mailboxes) before any
-   cell starts round r+1.  Cells therefore never need their own
-   synchronization, and because [map] merges in submission order the
-   whole computation is byte-identical at any pool size, including a
-   jobs=1 pool that runs the cells sequentially. *)
-let bsp pool ~workers step =
-  if workers < 1 then invalid_arg "Pool.bsp: workers must be >= 1";
-  let ids = List.init workers Fun.id in
-  let rec loop round =
-    let live = map pool (fun i -> step ~round i) ids in
-    if List.exists Fun.id live then loop (round + 1)
-  in
-  loop 0
-
-let map_reduce pool ~map:f ~reduce ~init xs =
-  List.fold_left reduce init (map pool f xs)
-
 let with_pool ~jobs f =
   let pool = create ~jobs in
   Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)

@@ -28,29 +28,13 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map t f xs] applies [f] to every element of [xs], possibly in
     parallel, and returns the results in the order of [xs].  If any
     application raises, the exception of the earliest-submitted failing
-    element is re-raised after the whole batch has settled. *)
+    element is re-raised after the whole batch has settled.
 
-val bsp : t -> workers:int -> (round:int -> int -> bool) -> unit
-(** [bsp t ~workers step] runs [workers] cells in lockstep
-    bulk-synchronous rounds: round [r] applies [step ~round:r i] to every
-    cell index [i] (possibly in parallel) and only starts round [r + 1]
-    once all cells have finished round [r] — the join of the underlying
-    {!map} is the barrier, and its lock hand-off makes every write a cell
-    performed during round [r] (shared mailboxes, counters) visible to
-    all cells in round [r + 1] without further synchronization, provided
-    no location is written by two cells in the same round.  The loop
-    continues while {e any} cell returns [true] and stops after the first
-    round in which all return [false].  Cells are submitted in index
-    order, so the computation is byte-identical at any pool size,
-    including a sequential [jobs = 1] pool. *)
-
-val map_reduce :
-  t -> map:('a -> 'b) -> reduce:('acc -> 'b -> 'acc) -> init:'acc -> 'a list -> 'acc
-(** [map_reduce t ~map ~reduce ~init xs] folds [reduce] over the mapped
-    results {e in submission order} — exactly
-    [List.fold_left reduce init (Pool.map t map xs)] — so any
-    non-commutative merge (float accumulation, list building, table
-    rows) behaves as in a sequential run. *)
+    The join is a barrier: its lock hand-off makes every write an
+    application performed visible to the caller, and to the next batch,
+    without further synchronization.  Rounds of [map] therefore run
+    bulk-synchronous cells, provided no location is written by two
+    applications of one batch. *)
 
 val shutdown : t -> unit
 (** Join the worker domains.  Idempotent.  Any [map] still in flight in

@@ -29,6 +29,9 @@ let check_contains out needles =
         (contains out n))
     needles
 
+(* Expected output committed next to this test (a dep of the dune rule). *)
+let read_expected name = In_channel.with_open_bin name In_channel.input_all
+
 let test_topologies () =
   let code, out = run (cli ^ " topologies") in
   Alcotest.(check int) "exit 0" 0 code;
@@ -154,11 +157,7 @@ let test_serve_subcommand () =
 let test_serve_transcript () =
   List.iter
     (fun policy ->
-      let expected =
-        In_channel.with_open_bin
-          (Printf.sprintf "serve_s1_%s.expected" policy)
-          In_channel.input_all
-      in
+      let expected = read_expected (Printf.sprintf "serve_s1_%s.expected" policy) in
       let code, out =
         run
           (Printf.sprintf
@@ -182,6 +181,53 @@ let test_serve_critical_flag () =
 let test_serve_bad_dist () =
   let code, _ = run (cli ^ " serve -t clique:4 --dist pareto:2") in
   Alcotest.(check bool) "non-zero exit" true (code <> 0)
+
+(* Values the engines would reject are usage errors: exit 124 with the
+   option named, never an uncaught exception. *)
+let test_out_of_range_flags () =
+  List.iter
+    (fun (args, option) ->
+      let code, out = run (cli ^ " " ^ args) in
+      Alcotest.(check int) (args ^ " exit 124") 124 code;
+      check_contains out [ option; "Usage:" ];
+      Alcotest.(check bool) (args ^ " no exception") false
+        (contains out "uncaught exception"))
+    [
+      ("serve -t clique:4 --horizon 0", "--horizon");
+      ("serve -t clique:4 --patience 0", "--patience");
+      ("serve -t clique:4 --rate 0", "--rate");
+      ("serve -t clique:4 --burst 0", "--burst");
+      ("serve -t clique:4 --shards 0", "--shards");
+      ("online -t clique:4 --mean-gap 0", "--mean-gap");
+      ("online -t clique:4 --txns-per-node=-1", "--txns-per-node");
+      ("stm -t clique:4 --count 10 --domains 0", "--domains");
+      ("stm -t clique:4 --count 10 --domains 1,0", "--domains");
+      ("stm -t clique:4 --count 10 --rate 0", "--rate");
+      ("schedule -t grid:4x4 -w 0", "-w");
+      ("schedule -t grid:4x4 -k 0", "-k");
+      ("schedule -t grid:4x4 -w 4 --capacity 0", "--capacity");
+      ("verify -t line:4 -w 3 --capacity 0", "--capacity");
+    ]
+
+(* Schedule transcripts with their hop-by-hop replay and a congestion
+   run, against output committed next to this test: grid:16x16 (many
+   tied shortest paths), a weighted cluster graph, and a grid with
+   unequal edge weights loaded from a graph file (tied paths again). *)
+let test_replay_transcripts () =
+  List.iter
+    (fun (name, args) ->
+      let code, out =
+        run (Printf.sprintf "%s schedule %s --seed 3 --replay --capacity 2" cli args)
+      in
+      Alcotest.(check int) (name ^ " exit 0") 0 code;
+      Alcotest.(check string) (name ^ " transcript")
+        (read_expected (Printf.sprintf "replay_%s.expected" name))
+        out)
+    [
+      ("grid16", "-t grid:16x16 -w 32 -k 2");
+      ("cluster", "-t cluster:4x5:g7 -w 8 -k 2");
+      ("wgrid6", "-t file:wgrid6.graph -w 12 -k 2");
+    ]
 
 let test_capacity_flag () =
   let code, out = run (cli ^ " schedule -t star:4x4 -w 6 -k 2 --capacity 1") in
@@ -313,6 +359,18 @@ let test_experiments_single () =
   check_contains out [ "Figure 3"; "[ok]" ];
   Alcotest.(check bool) "no failed checks" false (contains out "[FAIL]")
 
+(* E1/E3 carry the trace audit in their feasible column, E8 the
+   dependency graph and coloring, E13 the read-replication schedules. *)
+let test_experiments_transcripts () =
+  List.iter
+    (fun e ->
+      let code, out = run (Printf.sprintf "%s %s" experiments e) in
+      Alcotest.(check int) (e ^ " exit 0") 0 code;
+      Alcotest.(check string) (e ^ " stdout")
+        (read_expected (Printf.sprintf "experiments_%s.expected" e))
+        out)
+    [ "e1"; "e3"; "e8"; "e13" ]
+
 let test_experiments_unknown () =
   let code, _ = run (experiments ^ " e99") in
   Alcotest.(check bool) "non-zero exit" true (code <> 0)
@@ -337,6 +395,8 @@ let () =
           Alcotest.test_case "serve transcript" `Quick test_serve_transcript;
           Alcotest.test_case "serve --critical" `Quick test_serve_critical_flag;
           Alcotest.test_case "serve bad dist" `Quick test_serve_bad_dist;
+          Alcotest.test_case "out-of-range flags" `Quick test_out_of_range_flags;
+          Alcotest.test_case "replay transcripts" `Quick test_replay_transcripts;
           Alcotest.test_case "capacity flag" `Quick test_capacity_flag;
           Alcotest.test_case "analyze clean" `Quick test_analyze_clean;
           Alcotest.test_case "analyze --json" `Quick test_analyze_json;
@@ -353,5 +413,6 @@ let () =
           Alcotest.test_case "--list" `Quick test_experiments_list;
           Alcotest.test_case "single figure" `Quick test_experiments_single;
           Alcotest.test_case "unknown id" `Quick test_experiments_unknown;
+          Alcotest.test_case "transcripts" `Quick test_experiments_transcripts;
         ] );
     ]

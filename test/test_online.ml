@@ -206,6 +206,20 @@ let prop_greedy_cm_no_recovery =
       in
       r.Runner.forced_grants = 0 && r.Runner.completed = Stream.total s)
 
+let test_empty_stream () =
+  let rng = Prng.create ~seed:3 in
+  let s = Stream.uniform ~rng ~n:5 ~num_objects:2 ~k:1 ~txns_per_node:0 ~mean_gap:2 in
+  let homes = Stream.initial_homes ~rng s in
+  List.iter
+    (fun (name, policy) ->
+      let r = Runner.run ~policy line5 s ~homes in
+      Alcotest.(check int) (name ^ " makespan") 0 r.Runner.makespan;
+      Alcotest.(check int) (name ^ " completed") 0 r.Runner.completed;
+      Alcotest.(check (float 0.0)) (name ^ " mean") 0.0 r.Runner.mean_response;
+      Alcotest.(check (float 0.0)) (name ^ " p95") 0.0 r.Runner.p95_response;
+      Alcotest.(check int) (name ^ " travel") 0 r.Runner.total_travel)
+    all_policies
+
 let () =
   Alcotest.run "dtm_online"
     [
@@ -225,6 +239,7 @@ let () =
           Alcotest.test_case "nearest deadlock recovered" `Quick test_nearest_deadlock_recovered;
           Alcotest.test_case "timestamp avoids split" `Quick test_timestamp_avoids_that_deadlock;
           Alcotest.test_case "deterministic" `Quick test_deterministic;
+          Alcotest.test_case "empty stream" `Quick test_empty_stream;
           prop_online_completes;
           prop_greedy_cm_no_recovery;
         ] );

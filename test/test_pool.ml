@@ -24,17 +24,6 @@ let test_map_empty_and_singleton () =
       Alcotest.(check (list int)) "empty" [] (Pool.map p succ []);
       Alcotest.(check (list int)) "singleton" [ 8 ] (Pool.map p succ [ 7 ]))
 
-let test_map_reduce_ordered () =
-  (* String concatenation is non-commutative: any merge-order slip shows. *)
-  Pool.with_pool ~jobs:4 (fun p ->
-      let xs = List.init 50 (fun i -> i) in
-      Alcotest.(check string) "ordered fold"
-        (String.concat "," (List.map string_of_int xs))
-        (Pool.map_reduce p
-           ~map:string_of_int
-           ~reduce:(fun acc s -> if acc = "" then s else acc ^ "," ^ s)
-           ~init:"" xs))
-
 exception Boom of int
 
 let test_earliest_exception_wins () =
@@ -119,12 +108,12 @@ let test_shutdown_then_map_still_works () =
   Alcotest.(check (list int)) "after" [ 2; 3; 4 ] (Pool.map p succ [ 1; 2; 3 ])
 
 let test_bsp_rounds_and_barrier () =
-  (* A token-passing chain with double-buffered mailboxes, the pattern
-     the sharded engine uses: round r reads the buffer written in round
-     r-1 and writes the other one, so no location is read and written by
-     different cells in the same round.  Any barrier slip (a cell
-     starting round r+1 before all of round r finished) changes the
-     tally. *)
+  (* Bulk-synchronous rounds of [map], as the sharded engine runs them:
+     a token-passing chain with double-buffered mailboxes, where round r
+     reads the buffer written in round r-1 and writes the other one, so
+     no location is read and written by different cells in the same
+     round.  Any barrier slip (a cell starting round r+1 before all of
+     round r finished) changes the tally. *)
   List.iter
     (fun jobs ->
       Pool.with_pool ~jobs (fun p ->
@@ -132,12 +121,17 @@ let test_bsp_rounds_and_barrier () =
           let rounds = 12 in
           let mail = Array.init 2 (fun _ -> Array.make workers 0) in
           let seen = Array.make workers 0 in
-          Pool.bsp p ~workers (fun ~round i ->
-              let cur = mail.(round land 1)
-              and nxt = mail.((round + 1) land 1) in
-              seen.(i) <- seen.(i) + cur.(i);
-              nxt.((i + 1) mod workers) <- seen.(i) + 1;
-              round + 1 < rounds);
+          let cells = List.init workers Fun.id in
+          for round = 0 to rounds - 1 do
+            ignore
+              (Pool.map p
+                 (fun i ->
+                   let cur = mail.(round land 1)
+                   and nxt = mail.((round + 1) land 1) in
+                   seen.(i) <- seen.(i) + cur.(i);
+                   nxt.((i + 1) mod workers) <- seen.(i) + 1)
+                 cells)
+          done;
           (* The protocol is deterministic, so a plain sequential replay
              gives the expected trace. *)
           let emailbox = Array.make workers 0 in
@@ -154,19 +148,6 @@ let test_bsp_rounds_and_barrier () =
             (Printf.sprintf "bsp jobs=%d" jobs)
             eseen seen))
     [ 1; 2; 4 ]
-
-let test_bsp_stops_when_all_done () =
-  Pool.with_pool ~jobs:2 (fun p ->
-      let calls = Array.make 3 0 in
-      (* Cells retire at different rounds; the loop runs until the last. *)
-      Pool.bsp p ~workers:3 (fun ~round i ->
-          calls.(i) <- calls.(i) + 1;
-          round < i);
-      Alcotest.(check (array int)) "every cell stepped every round"
-        [| 3; 3; 3 |] calls;
-      Alcotest.check_raises "workers 0"
-        (Invalid_argument "Pool.bsp: workers must be >= 1") (fun () ->
-          Pool.bsp p ~workers:0 (fun ~round:_ _ -> false)))
 
 let test_default_pool_configurable () =
   Pool.set_default_jobs 2;
@@ -195,16 +176,6 @@ let prop_map_deterministic =
           let expected = List.map f xs in
           Pool.map p f xs = expected && Pool.map p f xs = expected))
 
-let prop_map_reduce_matches_fold =
-  qtest ~count:200 "map_reduce = fold_left over List.map"
-    QCheck.(pair (int_range 1 5) (small_list small_int))
-    (fun (jobs, xs) ->
-      Pool.with_pool ~jobs (fun p ->
-          Pool.map_reduce p ~map:string_of_int
-            ~reduce:(fun acc s -> acc ^ "|" ^ s)
-            ~init:"" xs
-          = List.fold_left (fun acc s -> acc ^ "|" ^ s) "" (List.map string_of_int xs)))
-
 let () =
   Alcotest.run "dtm_pool"
     [
@@ -212,17 +183,15 @@ let () =
         [
           Alcotest.test_case "map = sequential" `Quick test_map_matches_sequential;
           Alcotest.test_case "empty + singleton" `Quick test_map_empty_and_singleton;
-          Alcotest.test_case "map_reduce ordered" `Quick test_map_reduce_ordered;
           Alcotest.test_case "earliest exception wins" `Quick
             test_earliest_exception_wins;
           Alcotest.test_case "worker backtrace keeps its origin" `Quick
             test_backtrace_keeps_origin;
           Alcotest.test_case "nested maps" `Quick test_nested_maps;
           Alcotest.test_case "bsp barrier" `Quick test_bsp_rounds_and_barrier;
-          Alcotest.test_case "bsp termination" `Quick test_bsp_stops_when_all_done;
           Alcotest.test_case "shutdown" `Quick test_shutdown_then_map_still_works;
           Alcotest.test_case "default pool" `Quick test_default_pool_configurable;
           Alcotest.test_case "jobs validation" `Quick test_jobs_validation;
         ] );
-      ("properties", [ prop_map_deterministic; prop_map_reduce_matches_fold ]);
+      ("properties", [ prop_map_deterministic ]);
     ]

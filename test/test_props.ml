@@ -506,7 +506,7 @@ let prop_nearest_first_matches_seed =
           end))
 
 (* P16: every execution trace the simulators produce — Dijkstra replay,
-   metric-descent walker, bounded-capacity congestion — passes the
+   metric-descent walk, bounded-capacity congestion — passes the
    DTM11x trace lints on all seven topologies, including the per-edge
    capacity audit at the capacity the congestion run was given. *)
 let prop_traces_pass_lints =
@@ -523,11 +523,11 @@ let prop_traces_pass_lints =
           in
           let capacity = 1 + (seed mod 3) in
           let r = Dtm_sim.Replay.run g inst sched in
-          let w = Dtm_sim.Walker.run g metric inst sched in
+          let w = Dtm_sim.Replay.walk g metric inst sched in
           let c = Dtm_sim.Congestion.run ~capacity g inst ~priority:sched in
-          r.Dtm_sim.Replay.ok && w.Dtm_sim.Walker.ok
+          r.Dtm_sim.Replay.ok && w.Dtm_sim.Replay.ok
           && clean ~commits:sched r.Dtm_sim.Replay.trace
-          && clean ~commits:sched w.Dtm_sim.Walker.trace
+          && clean ~commits:sched w.Dtm_sim.Replay.trace
           && clean ~capacity ~commits:c.Dtm_sim.Congestion.commit_times
                c.Dtm_sim.Congestion.trace))
 

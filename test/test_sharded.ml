@@ -7,7 +7,7 @@
      - at shards in {2, 4}, conservation (injected = committed + queue)
        holds at every merged step and a finite stream drains completely,
      - the committed prefix of a sharded run is a legal DTM execution:
-       it replays through the Walker and passes every DTM11x lint,
+       it replays through the metric-descent walk and passes every DTM11x lint,
      - a fixed (spec, shards) is byte-identical at -j1 and -j4: the
        pool size may change the interleaving of rounds across domains
        but never the result,
@@ -214,10 +214,10 @@ let lint_prefix rng topo ~shards =
     in
     let sched = Dtm_core.Schedule.of_times commits ~n in
     let graph = Topology.graph topo in
-    let w = Dtm_sim.Walker.run graph metric inst sched in
-    w.Dtm_sim.Walker.ok
+    let w = Dtm_sim.Replay.walk graph metric inst sched in
+    w.Dtm_sim.Replay.ok
     && Dtm_analysis.Trace_lint.check ~graph ~metric inst ~commits:sched
-         w.Dtm_sim.Walker.trace
+         w.Dtm_sim.Replay.trace
        = []
 
 let prop_lint_prefixes_sharded =

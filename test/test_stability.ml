@@ -6,7 +6,7 @@
      - a finite stream drains completely and the engine reports it
        bounded,
      - the committed prefix of any run is a legal DTM execution: its
-       commit times replay through the metric-descent Walker and pass
+       commit times replay through the metric-descent walk and pass
        every DTM11x trace lint, on all seven paper topologies,
      - a 10^6-transaction steady-state run holds only the active
        frontier (live-heap probe) and allocates O(1) per transaction
@@ -207,10 +207,10 @@ let lint_prefix ~seed:_ rng topo =
     in
     let sched = Dtm_core.Schedule.of_times commits ~n in
     let graph = Topology.graph topo in
-    let w = Dtm_sim.Walker.run graph metric inst sched in
-    w.Dtm_sim.Walker.ok
+    let w = Dtm_sim.Replay.walk graph metric inst sched in
+    w.Dtm_sim.Replay.ok
     && Dtm_analysis.Trace_lint.check ~graph ~metric inst ~commits:sched
-         w.Dtm_sim.Walker.trace
+         w.Dtm_sim.Replay.trace
        = []
 
 let prop_lint_prefixes =

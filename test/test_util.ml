@@ -187,58 +187,6 @@ let prop_uf_count =
       Union_find.count uf = 20 - merges)
 
 (* ------------------------------------------------------------------ *)
-(* Bitset                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let test_bitset_basic () =
-  let b = Bitset.create 100 in
-  Alcotest.(check bool) "empty" true (Bitset.is_empty b);
-  Bitset.add b 0;
-  Bitset.add b 63;
-  Bitset.add b 64;
-  Bitset.add b 99;
-  Alcotest.(check int) "cardinal" 4 (Bitset.cardinal b);
-  Alcotest.(check bool) "mem 63" true (Bitset.mem b 63);
-  Alcotest.(check bool) "mem 64" true (Bitset.mem b 64);
-  Alcotest.(check bool) "not mem 1" false (Bitset.mem b 1);
-  Bitset.remove b 63;
-  Alcotest.(check bool) "removed" false (Bitset.mem b 63);
-  Alcotest.(check (list int)) "to_list sorted" [ 0; 64; 99 ] (Bitset.to_list b)
-
-let test_bitset_bounds () =
-  let b = Bitset.create 10 in
-  Alcotest.check_raises "out of bounds" (Invalid_argument "Bitset: index out of bounds")
-    (fun () -> Bitset.add b 10)
-
-let test_bitset_union_inter () =
-  let a = Bitset.of_list 50 [ 1; 2; 3; 40 ] in
-  let b = Bitset.of_list 50 [ 2; 3; 4 ] in
-  Alcotest.(check int) "inter" 2 (Bitset.inter_cardinal a b);
-  Bitset.union_into a b;
-  Alcotest.(check (list int)) "union" [ 1; 2; 3; 4; 40 ] (Bitset.to_list a)
-
-let test_bitset_copy_independent () =
-  let a = Bitset.of_list 10 [ 1 ] in
-  let b = Bitset.copy a in
-  Bitset.add b 2;
-  Alcotest.(check bool) "original untouched" false (Bitset.mem a 2);
-  Alcotest.(check bool) "copy has it" true (Bitset.mem b 2)
-
-let test_bitset_clear () =
-  let a = Bitset.of_list 10 [ 1; 5 ] in
-  Bitset.clear a;
-  Alcotest.(check bool) "cleared" true (Bitset.is_empty a)
-
-let prop_bitset_models_set =
-  qtest "bitset agrees with a reference set"
-    QCheck.(list (int_bound 63))
-    (fun xs ->
-      let b = Bitset.create 64 in
-      List.iter (Bitset.add b) xs;
-      let reference = List.sort_uniq compare xs in
-      Bitset.to_list b = reference && Bitset.cardinal b = List.length reference)
-
-(* ------------------------------------------------------------------ *)
 (* Stats                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -568,15 +516,6 @@ let () =
           Alcotest.test_case "basic" `Quick test_uf_basic;
           Alcotest.test_case "transitive" `Quick test_uf_transitive;
           prop_uf_count;
-        ] );
-      ( "bitset",
-        [
-          Alcotest.test_case "basic" `Quick test_bitset_basic;
-          Alcotest.test_case "bounds" `Quick test_bitset_bounds;
-          Alcotest.test_case "union/inter" `Quick test_bitset_union_inter;
-          Alcotest.test_case "copy independent" `Quick test_bitset_copy_independent;
-          Alcotest.test_case "clear" `Quick test_bitset_clear;
-          prop_bitset_models_set;
         ] );
       ( "stats",
         [

@@ -217,14 +217,14 @@ let test_walker_matches_replay () =
   let inst, sched = audited_instance topo ~seed:5 in
   let g = Topology.graph topo and metric = Topology.metric topo in
   let r = Dtm_sim.Replay.run g inst sched in
-  let w = Dtm_sim.Walker.run g metric inst sched in
-  Alcotest.(check bool) "same verdict" r.Dtm_sim.Replay.ok w.Dtm_sim.Walker.ok;
+  let w = Dtm_sim.Replay.walk g metric inst sched in
+  Alcotest.(check bool) "same verdict" r.Dtm_sim.Replay.ok w.Dtm_sim.Replay.ok;
   Alcotest.(check int) "same weighted distance" r.Dtm_sim.Replay.messages
-    w.Dtm_sim.Walker.messages;
+    w.Dtm_sim.Replay.messages;
   Alcotest.(check int) "walker trace lints clean" 0
     (List.length
        (Trace_lint.check ~graph:g ~metric inst ~commits:sched
-          w.Dtm_sim.Walker.trace))
+          w.Dtm_sim.Replay.trace))
 
 let test_congestion_trace_clean () =
   let topo = Topology.Line 12 in
