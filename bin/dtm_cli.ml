@@ -65,6 +65,22 @@ let objects_arg =
 let k_arg =
   Arg.(value & opt (int_at_least 1) 2 & info [ "k" ] ~docv:"K" ~doc:"Objects requested per transaction.")
 
+(* -w and -k together: a transaction requests k distinct objects out of
+   w, so k > w is a usage error (exit 124) rather than an uncaught
+   Invalid_argument from the workload generator. *)
+let objects_k_arg =
+  let check w k =
+    if k > w then
+      `Error
+        ( true,
+          Printf.sprintf
+            "-k %d exceeds -w %d: a transaction requests at most W distinct \
+             objects"
+            k w )
+    else `Ok (w, k)
+  in
+  Term.(ret (const check $ objects_arg $ k_arg))
+
 let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
 let jobs_arg =
@@ -193,7 +209,7 @@ let capacity_arg =
            extension).")
 
 let schedule_cmd =
-  let run topo w k seed workload scheduler replay times chart save_inst save_sched
+  let run topo (w, k) seed workload scheduler replay times chart save_inst save_sched
       capacity jobs =
     apply_jobs jobs;
     let inst = make_instance topo ~w ~k ~seed ~workload in
@@ -262,12 +278,12 @@ let schedule_cmd =
   Cmd.v
     (Cmd.info "schedule" ~doc:"Generate a workload and schedule it.")
     Term.(
-      const run $ topo_arg $ objects_arg $ k_arg $ seed_arg $ workload_arg
+      const run $ topo_arg $ objects_k_arg $ seed_arg $ workload_arg
       $ scheduler_arg $ replay_arg $ times_arg $ chart_arg $ save_instance_arg
       $ save_schedule_arg $ capacity_arg $ jobs_arg)
 
 let lower_bound_cmd =
-  let run topo w k seed workload =
+  let run topo (w, k) seed workload =
     let inst = make_instance topo ~w ~k ~seed ~workload in
     let metric = Topology.metric topo in
     let lb = Dtm_core.Lower_bound.compute metric inst in
@@ -290,7 +306,7 @@ let lower_bound_cmd =
   in
   Cmd.v
     (Cmd.info "lower-bound" ~doc:"Show the certified lower bound of an instance.")
-    Term.(const run $ topo_arg $ objects_arg $ k_arg $ seed_arg $ workload_arg)
+    Term.(const run $ topo_arg $ objects_k_arg $ seed_arg $ workload_arg)
 
 let validate_cmd =
   let run topo inst_file sched_file =
@@ -335,7 +351,7 @@ let validate_cmd =
     Term.(const run $ topo_arg $ inst_file $ sched_file)
 
 let online_cmd =
-  let run topo w k seed txns_per_node mean_gap policy =
+  let run topo (w, k) seed txns_per_node mean_gap policy =
     let n = Topology.n topo in
     let metric = Topology.metric topo in
     let rng = Dtm_util.Prng.create ~seed in
@@ -376,11 +392,11 @@ let online_cmd =
     (Cmd.info "online"
        ~doc:"Run a continuous transaction stream under a contention manager.")
     Term.(
-      const run $ topo_arg $ objects_arg $ k_arg $ seed_arg $ txns_arg $ gap_arg
+      const run $ topo_arg $ objects_k_arg $ seed_arg $ txns_arg $ gap_arg
       $ policy_arg)
 
 let serve_cmd =
-  let run topo w k seed rate burst dist policy horizon patience critical shards
+  let run topo (w, k) seed rate burst dist policy horizon patience critical shards
       jobs =
     apply_jobs jobs;
     let n = Topology.n topo in
@@ -485,13 +501,13 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:"Serve a continual-arrival open-system workload and judge stability.")
     Term.(
-      const run $ topo_arg $ objects_arg $ k_arg $ seed_arg $ rate_arg
+      const run $ topo_arg $ objects_k_arg $ seed_arg $ rate_arg
       $ burst_arg $ dist_arg $ policy_arg $ horizon_arg $ patience_arg
       $ critical_arg $ shards_arg $ jobs_arg)
 
 let analyze_cmd =
   let module Analysis = Dtm_analysis in
-  let run topo w k seed workload scheduler inst_file sched_file json
+  let run topo (w, k) seed workload scheduler inst_file sched_file json
       no_certificate codes jobs =
     apply_jobs jobs;
     if codes then begin
@@ -635,13 +651,13 @@ let analyze_cmd =
           proof, and the scheduler's approximation certificate.  Exits \
           non-zero when any error-severity finding is reported.")
     Term.(
-      const run $ topo_opt_arg $ objects_arg $ k_arg $ seed_arg $ workload_arg
+      const run $ topo_opt_arg $ objects_k_arg $ seed_arg $ workload_arg
       $ scheduler_arg $ inst_file_arg $ sched_file_arg $ json_arg $ no_cert_arg
       $ codes_arg $ jobs_arg)
 
 let verify_cmd =
   let module Analysis = Dtm_analysis in
-  let run topo w k seed seeds workload capacity json codes jobs =
+  let run topo (w, k) seed seeds workload capacity json codes jobs =
     apply_jobs jobs;
     if codes then begin
       print_endline "diagnostic codes (dtm verify):";
@@ -773,13 +789,13 @@ let verify_cmd =
           lower bound.  Exits non-zero when any error-severity finding is \
           reported.")
     Term.(
-      const run $ topo_opt_arg $ objects_arg $ k_arg $ seed_arg $ seeds_arg
+      const run $ topo_opt_arg $ objects_k_arg $ seed_arg $ seeds_arg
       $ workload_arg $ verify_capacity_arg $ json_arg $ codes_arg $ jobs_arg)
 
 let stm_cmd =
   let module I = Dtm_workload.Injection in
   let module Stm = Dtm_stm in
-  let run topo w k seed rate burst dist count domains seeds work_ns policies =
+  let run topo (w, k) seed rate burst dist count domains seeds work_ns policies =
     let n = Topology.n topo in
     let metric = Topology.metric topo in
     let spec = { I.n; num_objects = w; k; rate; burst; dist; seed } in
@@ -921,7 +937,7 @@ let stm_cmd =
          "Execute injected workloads on the multicore STM runtime and \
           correlate simulated makespans with measured wall-clock.")
     Term.(
-      const run $ topo_arg $ objects_arg $ k_arg $ seed_arg $ rate_arg
+      const run $ topo_arg $ objects_k_arg $ seed_arg $ rate_arg
       $ burst_arg $ dist_arg $ count_arg $ domains_arg $ seeds_arg
       $ work_ns_arg $ policies_arg)
 

@@ -2,8 +2,8 @@
     transactional memory over OCaml 5 domains, with the repo's
     scheduling policies plugged in as contention managers.
 
-    Each transaction: invisibly reads its read-set (recording
-    [(object, version)]), burns its calibrated busy-work, opens every
+    Each transaction: invisibly reads its read-set (recording each
+    object's version), burns its calibrated busy-work, opens every
     write-set object with an open-for-write CAS (consulting the
     {!Cm.t} on conflict), validates the read-set, and commits by a
     single CAS on its descriptor's status.  Aborted attempts retry
@@ -23,7 +23,16 @@
     Every committed write increments its object by exactly 1, so
     [total_increments] (the sum of final object values) must equal
     the summed write-set sizes of all commits — the zero-lost-commit
-    conservation check. *)
+    conservation check.
+
+    Allocation: an attempt allocates only what DSTM requires — one
+    fresh {!Desc.t} (6 words) and one fresh {!Tvar.locator} per
+    open-for-write CAS it offers (5 words).  The versions observed by
+    reads and acquired by writes go to per-domain [int array] scratch,
+    sized once to the largest read and write set the domain meets, so
+    a read-only commit costs its descriptor and nothing else.  Commit
+    records are built from the spec and that scratch only when
+    [record = true]. *)
 
 type txn_spec = {
   node : int;  (** issuing node (bookkeeping only) *)
@@ -65,8 +74,10 @@ val run :
     index order, mirroring one-live-transaction-per-node issue order).
     Defaults: [record = false] (empty record array), [cm] = Greedy.
     With [record = true] the records come back sorted by [seq].
-    Raises [Invalid_argument] on [domains < 1], an object id out of
-    range, or [arrival < 1]. *)
+    Raises [Invalid_argument], before any transaction runs, on
+    [domains < 1], [num_objects < 1], an object id out of range, a
+    duplicate object in one write set, [arrival < 1] or negative
+    [work]. *)
 
 val of_injection :
   ?work_scale:int ->

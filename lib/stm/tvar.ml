@@ -7,8 +7,8 @@ type locator = {
 
 type t = { id : int; loc : locator Atomic.t }
 
-(* The root locator's owner is pre-committed, so [stable] resolves it to
-   (old_version + 1, new_value); seeding old_version with -1 makes the
+(* The root locator's owner is pre-committed, so it resolves to version
+   old_version + 1 and value new_value; seeding old_version with -1 makes the
    initial committed state version 0. *)
 let create ~id value =
   {
@@ -23,11 +23,18 @@ let create ~id value =
         };
   }
 
-let stable l =
+(* Two projections rather than one [(version, value)] pair: the commit
+   path reads versions on every read and validation, and a pair would be
+   a heap block each time. *)
+let stable_version l =
   match Desc.status l.owner with
-  | Desc.Committed -> (l.old_version + 1, l.new_value)
-  | Desc.Active | Desc.Aborted -> (l.old_version, l.old_value)
+  | Desc.Committed -> l.old_version + 1
+  | Desc.Active | Desc.Aborted -> l.old_version
 
-let read t = stable (Atomic.get t.loc)
-let value t = snd (read t)
-let version t = fst (read t)
+let stable_value l =
+  match Desc.status l.owner with
+  | Desc.Committed -> l.new_value
+  | Desc.Active | Desc.Aborted -> l.old_value
+
+let version t = stable_version (Atomic.get t.loc)
+let value t = stable_value (Atomic.get t.loc)

@@ -11,11 +11,14 @@
     commit CAS on its descriptor, and aborted owners need no cleanup
     pass (their locators simply resolve to the old value).
 
-    Locator records are immutable and freshly allocated per open;
-    together with fresh descriptors per attempt this rules out ABA on
-    the object word.  [Atomic.get]/[compare_and_set] are sequentially
-    consistent in OCaml 5, so a reader that observes a [Committed]
-    owner also observes the [new_value] written before that commit. *)
+    Locator records are immutable and freshly allocated per open (one
+    5-word block per CAS offered); together with fresh descriptors per
+    attempt this rules out ABA on the object word.  Reading allocates
+    nothing: the resolution is exposed as two projections,
+    {!stable_version} and {!stable_value}, never as a pair.
+    [Atomic.get]/[compare_and_set] are sequentially consistent in
+    OCaml 5, so a reader that observes a [Committed] owner also
+    observes the [new_value] written before that commit. *)
 
 type locator = {
   owner : Desc.t;
@@ -30,13 +33,20 @@ val create : id:int -> int -> t
 (** [create ~id v] — a fresh object with committed value [v] at
     version 0. *)
 
-val stable : locator -> int * int
-(** [(version, value)] the locator resolves to right now, per the
-    owner's current status. *)
+val stable_version : locator -> int
+(** The version the locator resolves to right now, per the owner's
+    current status: [old_version + 1] once the owner committed,
+    [old_version] otherwise. *)
 
-val read : t -> int * int
-(** Invisible read: the current stable [(version, value)].  Leaves no
-    trace in shared memory — callers must revalidate at commit. *)
+val stable_value : locator -> int
+(** The value the locator resolves to right now: [new_value] once the
+    owner committed, [old_value] otherwise.  The two projections read
+    the owner's status separately, so they agree only when that status
+    is final ([Committed] or [Aborted]); neither allocates. *)
+
+val version : t -> int
+(** Invisible read: the current stable version.  Leaves no trace in
+    shared memory — callers must revalidate at commit. *)
 
 val value : t -> int
-val version : t -> int
+(** The current stable value. *)

@@ -205,6 +205,14 @@ let test_out_of_range_flags () =
       ("stm -t clique:4 --count 10 --rate 0", "--rate");
       ("schedule -t grid:4x4 -w 0", "-w");
       ("schedule -t grid:4x4 -k 0", "-k");
+      (* -k above -w, once per subcommand that draws a workload. *)
+      ("schedule -t grid:4x4 -w 2 -k 3", "-k 3 exceeds -w 2");
+      ("lower-bound -t grid:4x4 -w 4 -k 9", "-k 9 exceeds -w 4");
+      ("analyze -t grid:4x4 -w 2 -k 3", "-k 3 exceeds -w 2");
+      ("verify -t line:4 -w 2 -k 3", "-k 3 exceeds -w 2");
+      ("online -t clique:4 -w 2 -k 3", "-k 3 exceeds -w 2");
+      ("serve -t grid:4x4 -w 2 -k 3", "-k 3 exceeds -w 2");
+      ("stm -t clique:4 --count 10 -w 2 -k 3", "-k 3 exceeds -w 2");
       ("schedule -t grid:4x4 -w 4 --capacity 0", "--capacity");
       ("verify -t line:4 -w 3 --capacity 0", "--capacity");
     ]

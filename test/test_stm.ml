@@ -12,6 +12,12 @@
        instance,
      - the acceptance-scale run: 10^5 transactions across 8 domains
        with zero lost commits,
+     - equivalence: at one domain the runtime's counters and commit
+       records equal those of a transcription of the original
+       tuple-based commit path (kept here as the reference),
+     - allocation: a committed transaction allocates a bounded number
+       of minor words (its descriptor and its write locators),
+     - the input contract: the exact [Invalid_argument] messages,
      - contention-manager algebra: symmetric verdicts, age monotony,
        backoff delay ranges,
      - Spearman rank correlation (the validation harness's metric). *)
@@ -42,8 +48,10 @@ let policies =
   ]
 
 (* Seed-derived random workload: a handful of nodes, few objects (so
-   conflicts actually happen), mixed read/write sets. *)
-let random_workload ~seed =
+   conflicts actually happen), mixed read/write sets.  Read sets may be
+   empty and may overlap the write set; [min_writes = 0] also allows
+   read-only transactions. *)
+let random_workload ?(min_writes = 1) ~seed () =
   let rng = Prng.create ~seed in
   let range lo hi = Prng.int_in_range rng ~lo ~hi in
   let txns = range 5 60 in
@@ -62,7 +70,7 @@ let random_workload ~seed =
     Array.init txns (fun _ ->
         {
           Runtime.node = range 0 7;
-          writes = distinct (range 1 3);
+          writes = distinct (range min_writes 3);
           reads = distinct (range 0 2);
           arrival = range 1 20;
           work = range 0 200;
@@ -115,11 +123,136 @@ let dtm115_ok ~num_objects records =
          findings)
   end
 
+(* ----- reference: the tuple-based commit path ----- *)
+
+(* A transcription of the runtime's original commit path, one domain
+   only: each read records a [(tvar, version)] pair, [open_write] is a
+   recursive closure over a boxed attempt counter, and validation folds
+   over the recorded pairs.  The equivalence property below holds the
+   allocation-free runtime to exactly these counters and records. *)
+module Reference = struct
+  exception Abort_now
+
+  let wait_unit = 64
+
+  let stable (l : Tvar.locator) =
+    match Desc.status l.Tvar.owner with
+    | Desc.Committed -> (l.Tvar.old_version + 1, l.Tvar.new_value)
+    | Desc.Active | Desc.Aborted -> (l.Tvar.old_version, l.Tvar.old_value)
+
+  let read (tv : Tvar.t) = stable (Atomic.get tv.Tvar.loc)
+
+  let open_write (cm : Cm.t) (desc : Desc.t) (tv : Tvar.t) =
+    let attempt = ref 0 in
+    let rec loop () =
+      if not (Desc.is_active desc) then raise Abort_now;
+      let l = Atomic.get tv.Tvar.loc in
+      if l.Tvar.owner == desc then l.Tvar.old_version
+      else
+        match Desc.status l.Tvar.owner with
+        | Desc.Active -> (
+          match
+            cm.Cm.resolve ~self:desc ~other:l.Tvar.owner ~attempt:!attempt
+          with
+          | Cm.Abort_other ->
+            ignore (Desc.try_abort l.Tvar.owner);
+            incr attempt;
+            loop ()
+          | Cm.Abort_self ->
+            ignore (Desc.try_abort desc);
+            raise Abort_now
+          | Cm.Wait units ->
+            Dtm_stm.Calibrate.spin (units * wait_unit);
+            incr attempt;
+            loop ())
+        | Desc.Committed | Desc.Aborted ->
+          let ver, value = stable l in
+          let nl =
+            {
+              Tvar.owner = desc;
+              old_version = ver;
+              old_value = value;
+              new_value = value + 1;
+            }
+          in
+          if Atomic.compare_and_set tv.Tvar.loc l nl then ver else loop ()
+    in
+    loop ()
+
+  let reads_valid (desc : Desc.t) reads =
+    Array.for_all
+      (fun ((tv : Tvar.t), v) ->
+        let l = Atomic.get tv.Tvar.loc in
+        if l.Tvar.owner == desc then l.Tvar.old_version = v
+        else
+          match Desc.status l.Tvar.owner with
+          | Desc.Active -> false
+          | Desc.Committed | Desc.Aborted -> fst (stable l) = v)
+      reads
+
+  (* [(starts, commits, aborts, total_increments)] and the commit
+     records in [seq] order. *)
+  let run ~cm ~num_objects (specs : Runtime.txn_spec array) =
+    let tvars = Array.init num_objects (fun id -> Tvar.create ~id 0) in
+    let starts = ref 0 and commits = ref 0 and aborts = ref 0 in
+    let records = ref [] in
+    Array.iteri
+      (fun tid (spec : Runtime.txn_spec) ->
+        let committed = ref false in
+        while not !committed do
+          incr starts;
+          let desc = Desc.make ~tid ~birth:spec.Runtime.arrival in
+          match
+            let reads =
+              Array.map
+                (fun o ->
+                  let tv = tvars.(o) in
+                  (tv, fst (read tv)))
+                spec.Runtime.reads
+            in
+            Dtm_stm.Calibrate.spin spec.Runtime.work;
+            let writes =
+              Array.map
+                (fun o ->
+                  let tv = tvars.(o) in
+                  (tv, open_write cm desc tv))
+                spec.Runtime.writes
+            in
+            if not (reads_valid desc reads) then begin
+              ignore (Desc.try_abort desc);
+              raise Abort_now
+            end;
+            if not (Desc.try_commit desc) then raise Abort_now;
+            (reads, writes)
+          with
+          | reads, writes ->
+            committed := true;
+            let seq = !commits in
+            incr commits;
+            records :=
+              {
+                Runtime.tid;
+                seq;
+                read_set =
+                  Array.map (fun ((tv : Tvar.t), v) -> (tv.Tvar.id, v)) reads;
+                write_set =
+                  Array.map
+                    (fun ((tv : Tvar.t), v) -> (tv.Tvar.id, v + 1))
+                    writes;
+              }
+              :: !records
+          | exception Abort_now -> incr aborts
+        done)
+      specs;
+    let total = Array.fold_left (fun a tv -> a + snd (read tv)) 0 tvars in
+    ((!starts, !commits, !aborts, total), Array.of_list (List.rev !records))
+end
+
 (* ----- unit tests ----- *)
 
 let test_tvar_basics () =
   let tv = Tvar.create ~id:0 42 in
-  Alcotest.(check (pair int int)) "initial" (0, 42) (Tvar.read tv);
+  Alcotest.(check (pair int int)) "initial" (0, 42) (Tvar.version tv, Tvar.value tv);
   let d = Desc.make ~tid:0 ~birth:1 in
   Alcotest.(check bool) "active" true (Desc.is_active d);
   Alcotest.(check bool) "commit" true (Desc.try_commit d);
@@ -147,6 +280,63 @@ let test_sequential_counter () =
     records;
   Alcotest.(check bool) "serializable" true (serializable records);
   Alcotest.(check bool) "dtm115" true (dtm115_ok ~num_objects:1 records)
+
+(* The input contract: [Runtime.run] rejects malformed workloads with
+   these exact messages before any transaction runs. *)
+let test_input_contract () =
+  let spec ?(reads = [||]) ?(writes = [| 0 |]) ?(arrival = 1) ?(work = 0) () =
+    { Runtime.node = 0; reads; writes; arrival; work }
+  in
+  let rejects name ?(domains = 1) ?(num_objects = 4) specs msg =
+    Alcotest.check_raises name (Invalid_argument msg) (fun () ->
+        ignore (Runtime.run ~domains ~num_objects specs))
+  in
+  rejects "read out of range"
+    [| spec (); spec ~reads:[| 1; 4 |] () |]
+    "Runtime.run: txn 1: object 4 out of range";
+  rejects "negative read"
+    [| spec ~reads:[| -1 |] () |]
+    "Runtime.run: txn 0: object -1 out of range";
+  rejects "write out of range"
+    [| spec (); spec (); spec ~writes:[| 2; 7 |] () |]
+    "Runtime.run: txn 2: object 7 out of range";
+  rejects "duplicate write"
+    [| spec ~writes:[| 3; 1; 3 |] () |]
+    "Runtime.run: txn 0: duplicate write object 3";
+  rejects "arrival < 1" [| spec ~arrival:0 () |] "Runtime.run: arrival < 1";
+  rejects "negative work" [| spec ~work:(-1) () |] "Runtime.run: negative work";
+  rejects "domains < 1" ~domains:0 [| spec () |] "Runtime.run: domains < 1";
+  rejects "num_objects < 1" ~num_objects:0 [||] "Runtime.run: num_objects < 1"
+
+(* A committed transaction allocates its descriptor (one per attempt)
+   and one locator per write, nothing else: about 7 words on this mix
+   of 75% read-only and 25% read-modify-write transactions.  The
+   tuple-per-read path it replaced took about 85. *)
+let test_commit_allocation () =
+  let rng = Prng.create ~seed:2024 in
+  let num_objects = 1024 and txns = 100_000 in
+  let specs =
+    Array.init txns (fun i ->
+        let o = Array.init 4 (fun j -> ((i * 4) + j + Prng.int rng 64) mod num_objects) in
+        let read_only = Prng.int rng 4 > 0 in
+        {
+          Runtime.node = 0;
+          reads = (if read_only then o else Array.sub o 1 3);
+          writes = (if read_only then [||] else [| o.(0) |]);
+          arrival = 1 + i;
+          work = 0;
+        })
+  in
+  (* Warm-up: the first run pays the busy-work calibration. *)
+  ignore (Runtime.run ~domains:1 ~num_objects specs);
+  let before = Gc.minor_words () in
+  let rep, _ = Runtime.run ~domains:1 ~num_objects specs in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "all commit" txns rep.Runtime.commits;
+  let per_txn = words /. float_of_int rep.Runtime.commits in
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words per committed txn %.1f <= 16" per_txn)
+    true (per_txn <= 16.0)
 
 let test_cm_algebra () =
   let a = Desc.make ~tid:0 ~birth:1 and b = Desc.make ~tid:1 ~birth:5 in
@@ -206,7 +396,7 @@ let test_spearman () =
 let prop_conservation =
   qtest ~count:25 "conservation across domains and managers" seed_gen
     (fun seed ->
-      let num_objects, specs = random_workload ~seed in
+      let num_objects, specs = random_workload ~seed () in
       List.for_all
         (fun policy ->
           List.for_all
@@ -222,7 +412,7 @@ let prop_conservation =
 let prop_serializable =
   qtest ~count:25 "committed runs are serializable (structural + DTM115)"
     seed_gen (fun seed ->
-      let num_objects, specs = random_workload ~seed in
+      let num_objects, specs = random_workload ~seed () in
       List.for_all
         (fun policy ->
           let _, records =
@@ -230,6 +420,27 @@ let prop_serializable =
               ~num_objects specs
           in
           serializable records && dtm115_ok ~num_objects records)
+        policies)
+
+(* At one domain the run is sequential, so the runtime and the reference
+   must agree exactly: counters, final values and every commit record. *)
+let prop_matches_reference =
+  qtest ~count:40 "one domain matches the tuple-based reference" seed_gen
+    (fun seed ->
+      let num_objects, specs = random_workload ~min_writes:0 ~seed () in
+      List.for_all
+        (fun policy ->
+          let cm = Cm.of_policy policy in
+          let rep, records =
+            Runtime.run ~record:true ~cm ~domains:1 ~num_objects specs
+          in
+          let counts, ref_records = Reference.run ~cm ~num_objects specs in
+          counts
+          = ( rep.Runtime.starts,
+              rep.Runtime.commits,
+              rep.Runtime.aborts,
+              rep.Runtime.total_increments )
+          && records = ref_records)
         policies)
 
 (* The acceptance-scale run: 10^5 transactions, 8 domains, low
@@ -341,5 +552,8 @@ let () =
             test_hundred_k_eight_domains;
           Alcotest.test_case "validation harness" `Slow test_validation_harness;
           Alcotest.test_case "of_injection" `Quick test_of_injection;
+          Alcotest.test_case "input contract" `Quick test_input_contract;
+          Alcotest.test_case "commit allocation" `Quick test_commit_allocation;
+          prop_matches_reference;
         ] );
     ]
